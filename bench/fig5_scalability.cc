@@ -406,7 +406,7 @@ int main(int argc, char** argv) {
     sxnm::bench::JsonWriter json(out);
     json.BeginObject();
     json.Field("bench", "fig5_scalability");
-    json.Field("schema_version", size_t{9});
+    json.Field("schema_version", size_t{10});
     json.Field("window", size_t{3});
     json.Field("seed", size_t(seed));
     WritePanelJson(json, "clean", clean_rows);

@@ -118,8 +118,6 @@ struct EngineVariant {
   const char* name;
   size_t num_threads;
   bool fast_paths;
-  bool dag;    // subtree hash-consing + identical-subtree shortcut
-  bool batch;  // batched SoA pre-filter (requires fast_paths)
 };
 
 struct EngineProfile {
@@ -148,8 +146,6 @@ EngineProfile ProfileVariant(const sxnm::xml::Document& doc,
   config.mutable_observability().metrics = true;
   for (auto& cand : config.mutable_candidates()) {
     cand.enable_fast_paths = variant.fast_paths;
-    cand.dag_compression = variant.dag;
-    cand.batch_scoring = variant.batch;
   }
   sxnm::core::Detector detector(std::move(config));
 
@@ -380,37 +376,6 @@ std::pair<double, size_t> ProfileCheckpointArm(
   return {best, pairs};
 }
 
-// Title-only OD at a high threshold over the repeated-subtree corpus:
-// the batched filter's length/byte screens can prove most unrelated
-// neighbor pairs below 0.9, and the DAG shortcut replays the memoized
-// verdict for the exact copies.
-sxnm::core::Config RepeatedSubtreeConfig() {
-  auto movie =
-      sxnm::core::CandidateBuilder("movie", "movie_database/movies/movie")
-          .Path(1, "title/text()")
-          .Path(2, "@year")
-          .Path(3, "@length")
-          .Od(1, 1.0)
-          .Key({{1, "K1-K5"}, {2, "D3,D4"}})
-          .Key({{2, "D3,D4"}, {1, "K1,K2"}})
-          .Key({{3, "D1,D2"}, {1, "K1,K2"}})
-          .Window(30)
-          .OdThreshold(0.9)
-          .Mode(sxnm::core::CombineMode::kOdOnly)
-          .Build();
-  if (!movie.ok()) {
-    std::cerr << movie.status().ToString() << "\n";
-    std::exit(1);
-  }
-  sxnm::core::Config config;
-  if (auto status = config.AddCandidate(std::move(movie).value());
-      !status.ok()) {
-    std::cerr << status.ToString() << "\n";
-    std::exit(1);
-  }
-  return config;
-}
-
 int WritePipelineJson(const std::string& path) {
   constexpr size_t kMovies = 2000;
   constexpr int kRepeats = 3;
@@ -419,14 +384,12 @@ int WritePipelineJson(const std::string& path) {
 
   // "serial_legacy" is the pre-fast-path engine: one thread, set-based
   // descendant Jaccard, unbounded edit distances, per-pair OD
-  // normalization, no subtree interning. The other variants isolate, in
-  // order: the kernel fast paths, the DAG shortcut + batched SoA
-  // pre-filter on top of them, and the thread scaling on top of that.
+  // normalization. The other variants isolate, in order: the kernel fast
+  // paths, and the thread scaling on top of them.
   const EngineVariant variants[] = {
-      {"serial_legacy", 1, false, false, false},
-      {"serial_fast", 1, true, false, false},
-      {"serial_dag_batch", 1, true, true, true},
-      {"threads4_fast", 4, true, true, true},
+      {"serial_legacy", 1, false},
+      {"serial_fast", 1, true},
+      {"threads4_fast", 4, true},
   };
 
   std::ofstream out(path);
@@ -437,7 +400,7 @@ int WritePipelineJson(const std::string& path) {
   sxnm::bench::JsonWriter json(out);
   json.BeginObject();
   json.Field("bench", "micro_pipeline");
-  json.Field("schema_version", size_t{9});
+  json.Field("schema_version", size_t{10});
   json.BeginObject("dataset");
   json.Field("generator", "movies+DataSet1DirtyPreset");
   json.Field("clean_movies", kMovies);
@@ -458,8 +421,6 @@ int WritePipelineJson(const std::string& path) {
     json.Field("name", variant.name);
     json.Field("num_threads", variant.num_threads);
     json.Field("fast_paths", variant.fast_paths);
-    json.Field("dag", variant.dag);
-    json.Field("batch_scoring", variant.batch);
     json.BeginObject("phases");
     json.Field("key_generation_s", profile.kg);
     json.Field("sliding_window_s", profile.sw);
@@ -486,50 +447,6 @@ int WritePipelineJson(const std::string& path) {
     json.EndObject();
   }
   json.EndArray();
-
-  // Repeated-subtree corpus: copy-paste-heavy data (70% of created
-  // duplicates byte-exact), dag+batch off vs on, isolating the DAG
-  // shortcut and the batched pre-filter against the plain fast kernels.
-  constexpr size_t kRepeatedMovies = 1500;
-  sxnm::datagen::MovieDataOptions repeated_options;
-  repeated_options.num_movies = kRepeatedMovies;
-  repeated_options.seed = 11;
-  sxnm::xml::Document repeated =
-      sxnm::datagen::MakeDirty(
-          sxnm::datagen::GenerateCleanMovies(repeated_options),
-          sxnm::datagen::RepeatedSubtreePreset(11))
-          .value();
-  sxnm::core::Config repeated_config = RepeatedSubtreeConfig();
-  // The off arm runs first, straight after corpus generation, and eats
-  // the CPU-frequency ramp: one untimed warm-up plus a deeper best-of
-  // keeps the recorded ratio from drifting with scheduler noise.
-  constexpr int kAbRepeats = 7;
-  (void)ProfileVariant(repeated, repeated_config,
-                       {"warmup", 1, true, false, false}, 1);
-  EngineProfile off =
-      ProfileVariant(repeated, repeated_config,
-                     {"dag_batch_off", 1, true, false, false}, kAbRepeats);
-  EngineProfile on =
-      ProfileVariant(repeated, repeated_config,
-                     {"dag_batch_on", 1, true, true, true}, kAbRepeats);
-  json.BeginObject("repeated_subtree");
-  json.Field("generator", "movies+RepeatedSubtreePreset");
-  json.Field("clean_movies", kRepeatedMovies);
-  json.Field("window", size_t{30});
-  json.Field("od_threshold", 0.9);
-  json.Field("sliding_window_off_s", off.sw);
-  json.Field("sliding_window_on_s", on.sw);
-  json.Field("sliding_window_speedup", off.sw / on.sw);
-  json.Field("duplicate_pairs_off", off.duplicate_pairs);
-  json.Field("duplicate_pairs_on", on.duplicate_pairs);
-  json.Field("dag_equal", size_t(on.metrics.CounterOr("sw.dag_equal")));
-  json.Field("batch_rejects",
-             size_t(on.metrics.CounterOr("sw.batch_rejects")));
-  json.Field("subtree_pool_nodes",
-             size_t(on.metrics.CounterOr("kg.subtree_pool_nodes")));
-  json.Field("subtree_pool_bytes",
-             size_t(on.metrics.CounterOr("kg.subtree_pool_bytes")));
-  json.EndObject();
 
   // Live-telemetry overhead A/B: the sampler only reads the registry, so
   // the detection output must be identical with it on, and the wall-clock
@@ -718,8 +635,6 @@ int WritePipelineJson(const std::string& path) {
               prof_on.profile.backend.c_str());
   std::printf("SW: serial_legacy %.4fs -> threads4_fast %.4fs (%.2fx)\n",
               baseline.sw, last.sw, baseline.sw / last.sw);
-  std::printf("repeated-subtree SW: off %.4fs -> on %.4fs (%.2fx)\n", off.sw,
-              on.sw, off.sw / on.sw);
   return 0;
 }
 

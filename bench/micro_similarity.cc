@@ -20,15 +20,12 @@
 #include <vector>
 
 #include "bench_json.h"
-#include "sxnm/similarity_measure.h"
 #include "text/edit_distance.h"
 #include "text/jaro_winkler.h"
 #include "text/myers.h"
 #include "text/qgram.h"
 #include "text/soundex.h"
 #include "util/rng.h"
-#include "util/simd.h"
-#include "util/string_util.h"
 
 namespace {
 
@@ -127,71 +124,6 @@ void BM_Soundex(benchmark::State& state) {
 BENCHMARK(BM_Soundex);
 
 // ---------------------------------------------------------------------------
-// Batched SoA pre-filter (sxnm/similarity_measure.h BatchFilter): rows of
-// window-pair candidates screened in bulk before the Myers kernel.
-
-struct FilterFixture {
-  sxnm::core::CandidateConfig cand;
-  sxnm::core::CandidateInstances instances;
-  sxnm::core::OdPool pool;
-  std::vector<sxnm::core::GkRow> rows;
-  std::vector<sxnm::core::OrdinalPair> pairs;
-
-  // `num_rows` OD values between `length`/2 and `length` chars (window
-  // neighbours sort near each other but their payloads still differ in
-  // size); every fourth row is a light corruption of its predecessor, so
-  // the pair population mixes clear rejects with near-duplicates the
-  // screen must let through.
-  FilterFixture(size_t length, size_t num_rows)
-      : cand(sxnm::core::CandidateBuilder("m", "db/m")
-                 .Path(1, "t/text()")
-                 .Od(1, 1.0)
-                 .Key({{1, "C1"}})
-                 .OdThreshold(0.9)
-                 .Build()
-                 .value()) {
-    instances.config = &cand;
-    instances.elements.resize(num_rows, nullptr);
-    instances.eids.resize(num_rows, 0);
-    for (size_t i = 0; i < num_rows; ++i) {
-      std::string value;
-      if (i % 4 == 3 && i > 0) {
-        value = rows[i - 1].ods[0];
-        value[value.size() / 2] ^= 1;  // one-char edit
-      } else {
-        size_t len = length / 2 + (i * 7919) % (length / 2 + 1);
-        value = MakeString(std::max<size_t>(len, 1), 1000 + i);
-      }
-      sxnm::core::GkRow row;
-      row.ordinal = i;
-      row.eid = sxnm::xml::ElementId(i + 1);
-      row.ods = {std::move(value)};
-      row.norm_ods = {pool.Intern(sxnm::util::ToLower(
-          sxnm::util::NormalizeWhitespace(row.ods[0])))};
-      rows.push_back(std::move(row));
-    }
-    for (size_t i = 0; i < num_rows; ++i) {
-      for (size_t j = i + 1; j < num_rows; ++j) pairs.push_back({i, j});
-    }
-  }
-};
-
-void BM_BatchFilter(benchmark::State& state) {
-  FilterFixture fixture(size_t(state.range(0)), 64);
-  sxnm::core::SimilarityMeasure measure(fixture.cand, fixture.instances, {},
-                                        &fixture.pool);
-  sxnm::core::BatchFilterScratch scratch;
-  for (auto _ : state) {
-    measure.BatchFilter(fixture.rows, fixture.pairs.data(),
-                        fixture.pairs.size(), &scratch);
-    benchmark::DoNotOptimize(scratch.reject.data());
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()) *
-                          int64_t(fixture.pairs.size()));
-}
-BENCHMARK(BM_BatchFilter)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-
-// ---------------------------------------------------------------------------
 // --json: edit-distance kernel comparison (docs/BENCHMARKS.md).
 
 // Best-of-`repeats` ns/op of `fn(a, b)` over `iters` calls. A handful of
@@ -228,7 +160,7 @@ int WriteKernelJson(const std::string& path) {
   sxnm::bench::JsonWriter json(out);
   json.BeginObject();
   json.Field("bench", "micro_similarity");
-  json.Field("schema_version", size_t{9});
+  json.Field("schema_version", size_t{10});
   json.Field("repeats", size_t{kRepeats});
   json.BeginArray("kernels");
   for (size_t length : kLengths) {
@@ -270,75 +202,6 @@ int WriteKernelJson(const std::string& path) {
                 match ? "" : "  DISTANCE MISMATCH");
   }
   json.EndArray();
-
-  // Batched pre-filter profile: how much of a random-pair population the
-  // SoA screen rejects before the kernel, what the screen costs per pair
-  // next to one CompareFast call, and a soundness audit (every rejected
-  // pair re-checked against the kernel).
-  json.BeginObject("filters");
-  json.Field("backend", sxnm::util::simd::BackendName());
-  json.BeginArray("lengths");
-  for (size_t length : {size_t{8}, size_t{16}, size_t{32}, size_t{64}}) {
-    FilterFixture fixture(length, 64);
-    sxnm::core::SimilarityMeasure measure(fixture.cand, fixture.instances,
-                                          {}, &fixture.pool);
-    sxnm::core::BatchFilterScratch scratch;
-    const size_t num_pairs = fixture.pairs.size();
-
-    double filter_ns = 0.0;
-    for (int r = 0; r < kRepeats; ++r) {
-      auto start = std::chrono::steady_clock::now();
-      measure.BatchFilter(fixture.rows, fixture.pairs.data(), num_pairs,
-                          &scratch);
-      benchmark::DoNotOptimize(scratch.reject.data());
-      double ns = std::chrono::duration<double, std::nano>(
-                      std::chrono::steady_clock::now() - start)
-                      .count() /
-                  double(num_pairs);
-      if (r == 0 || ns < filter_ns) filter_ns = ns;
-    }
-
-    size_t rejects = 0;
-    bool sound = true;
-    for (size_t p = 0; p < num_pairs; ++p) {
-      if (!scratch.reject[p]) continue;
-      ++rejects;
-      sound = sound && !measure
-                            .CompareFast(fixture.rows[fixture.pairs[p].first],
-                                         fixture.rows[fixture.pairs[p].second])
-                            .is_duplicate;
-    }
-
-    double kernel_ns = 0.0;
-    for (int r = 0; r < kRepeats; ++r) {
-      auto start = std::chrono::steady_clock::now();
-      for (const auto& [a, b] : fixture.pairs) {
-        benchmark::DoNotOptimize(
-            measure.CompareFast(fixture.rows[a], fixture.rows[b]));
-      }
-      double ns = std::chrono::duration<double, std::nano>(
-                      std::chrono::steady_clock::now() - start)
-                      .count() /
-                  double(num_pairs);
-      if (r == 0 || ns < kernel_ns) kernel_ns = ns;
-    }
-
-    json.BeginObject();
-    json.Field("length", length);
-    json.Field("pairs", num_pairs);
-    json.Field("reject_rate", double(rejects) / double(num_pairs));
-    json.Field("filter_ns_per_pair", filter_ns);
-    json.Field("kernel_ns_per_pair", kernel_ns);
-    json.Field("sound", sound);
-    json.EndObject();
-    std::printf(
-        "filter len %3zu: reject %5.1f%%  screen %7.2f ns/pair  kernel "
-        "%8.1f ns/pair%s\n",
-        length, 100.0 * double(rejects) / double(num_pairs), filter_ns,
-        kernel_ns, sound ? "" : "  UNSOUND REJECT");
-  }
-  json.EndArray();
-  json.EndObject();
 
   json.EndObject();
   std::printf("kernel profile written to %s\n", path.c_str());

@@ -7,6 +7,8 @@
 
 #include <cstdio>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "datagen/movies.h"
 #include "sxnm/config_xml.h"
@@ -67,10 +69,14 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  auto config = sxnm::core::ConfigFromXmlFile(argv[1]);
+  std::vector<std::string> warnings;
+  auto config = sxnm::core::ConfigFromXmlFile(argv[1], &warnings);
   if (!config.ok()) {
     std::cerr << "INVALID: " << config.status().ToString() << "\n";
     return sxnm::util::kExitConfig;
+  }
+  for (const std::string& warning : warnings) {
+    std::cerr << "WARNING: " << warning << "\n";
   }
   std::printf("OK: %s parses and validates.\n\n", argv[1]);
   PrintSummary(config.value());

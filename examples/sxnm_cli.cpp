@@ -22,6 +22,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "eval/report.h"
 #include "persist/io.h"
@@ -149,10 +150,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  auto config = sxnm::core::ConfigFromXmlFile(config_path);
+  std::vector<std::string> config_warnings;
+  auto config = sxnm::core::ConfigFromXmlFile(config_path, &config_warnings);
   if (!config.ok()) {
     std::cerr << "config error: " << config.status().ToString() << "\n";
     return sxnm::util::kExitConfig;
+  }
+  for (const std::string& warning : config_warnings) {
+    std::cerr << "config warning: " << warning << "\n";
   }
   sxnm::core::Config loaded_config = std::move(config).value();
   // Prometheus export and live telemetry both need the metrics registry

@@ -32,7 +32,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     (void)core::DecodeDegradation(payload);
     (void)core::DecodeReportRows(payload);
     (void)core::DecodeMetricsSnapshot(payload);
-    (void)core::DecodeVerdictEntries(payload);
   };
   decode_all(input);
   if (!reader.ok()) return 0;

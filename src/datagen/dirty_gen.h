@@ -68,8 +68,8 @@ struct DuplicationRule {
 
   /// Probability that a created duplicate is an *exact* copy — no error
   /// model applied, the subtree byte-identical to the original. Models
-  /// copy-paste replication (repeated subtrees) and drives the
-  /// DAG-compression fast path; 0 keeps the historical behaviour (and
+  /// copy-paste replication (repeated subtrees, long runs of equal sort
+  /// keys); 0 keeps the historical behaviour (and
   /// the historical RNG stream, so existing corpora are unchanged).
   double exact_copy_probability = 0.0;
 };

@@ -57,9 +57,8 @@ DirtyOptions FewDuplicatesPreset(uint64_t seed);
 /// duplicates, 20% for title with exactly one.
 DirtyOptions ManyDuplicatesPreset(uint64_t seed);
 
-/// "repeated subtrees": copy-paste-heavy corpus exercising the
-/// DAG-compression fast path — every movie duplicated (one to three
-/// copies), 70% of the copies byte-exact
+/// "repeated subtrees": copy-paste-heavy corpus — every movie duplicated
+/// (one to three copies), 70% of the copies byte-exact
 /// (DuplicationRule::exact_copy_probability), the rest with the standard
 /// error model.
 DirtyOptions RepeatedSubtreePreset(uint64_t seed);

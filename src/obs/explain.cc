@@ -63,14 +63,8 @@ std::string_view PairProvenanceName(PairProvenance provenance) {
   switch (provenance) {
     case PairProvenance::kOwned:
       return "owned";
-    case PairProvenance::kVerdictCache:
-      return "verdict_cache";
     case PairProvenance::kPrepass:
       return "prepass";
-    case PairProvenance::kDagEqual:
-      return "dag_equal";
-    case PairProvenance::kBatchFilter:
-      return "batch_filter";
   }
   return "unknown";
 }
@@ -121,17 +115,8 @@ void ExplainLog::AppendPair(std::string_view candidate, int pass, size_t a,
     case PairProvenance::kOwned:
       ++owned_pairs_;
       break;
-    case PairProvenance::kVerdictCache:
-      ++cache_pairs_;
-      break;
     case PairProvenance::kPrepass:
       ++prepass_pairs_;
-      break;
-    case PairProvenance::kDagEqual:
-      ++dag_pairs_;
-      break;
-    case PairProvenance::kBatchFilter:
-      ++filter_pairs_;
       break;
   }
   text_ += "{\"type\":\"pair\",\"candidate\":";
@@ -249,15 +234,11 @@ void ExplainLog::AppendCluster(std::string_view candidate, size_t cluster,
 }
 
 void ExplainLog::Restore(std::string text, uint64_t owned_pairs,
-                         uint64_t cache_pairs, uint64_t prepass_pairs,
-                         uint64_t dag_pairs, uint64_t filter_pairs) {
+                         uint64_t prepass_pairs) {
   if (!enabled_) return;
   text_ = std::move(text);
   owned_pairs_ = owned_pairs;
-  cache_pairs_ = cache_pairs;
   prepass_pairs_ = prepass_pairs;
-  dag_pairs_ = dag_pairs;
-  filter_pairs_ = filter_pairs;
 }
 
 util::Status ExplainLog::WriteFile(const std::string& path) const {

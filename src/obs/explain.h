@@ -29,25 +29,15 @@
 
 namespace sxnm::obs {
 
-/// Who actually computed a pair's verdict. `kOwned` is a real kernel
-/// invocation; `kVerdictCache` replays an owned verdict from another
-/// pass; `kPrepass` is the exact-OD prepass accepting byte-identical
-/// tuples before any window runs; `kDagEqual` is the DAG shortcut
-/// replaying the memoized self-comparison of two structurally identical
-/// subtrees; `kBatchFilter` is the SoA pre-filter proving the pair below
-/// threshold without running the kernel. Canonicalized at the serial
-/// merge: with a verdict cache, the first merge-order occurrence of a
-/// kernel-scored pair is owned and repeats are cache replays, while dag
-/// and filter pairs keep their tag on every occurrence (those paths
-/// bypass the cache). The per-tag record counts then reconcile with
-/// sw.comparisons / sw.verdict_cache_hits / sw.prepass_pairs /
-/// sw.dag_equal / sw.batch_rejects exactly.
+/// Who decided a pair's verdict. `kOwned` is a window pass running the
+/// similarity kernel on the pair (a pair windowed by several passes gets
+/// one owned record per pass); `kPrepass` is the exact-OD prepass
+/// accepting byte-identical tuples before any window runs. The per-tag
+/// record counts reconcile with sw.comparisons / sw.prepass_pairs
+/// exactly.
 enum class PairProvenance {
   kOwned,
-  kVerdictCache,
   kPrepass,
-  kDagEqual,
-  kBatchFilter,
 };
 
 std::string_view PairProvenanceName(PairProvenance provenance);
@@ -117,8 +107,8 @@ class ExplainLog {
                       const std::vector<size_t>& ranks);
 
   /// One pair classification. `pass` is 0-based; -1 marks the exact-OD
-  /// prepass. `detail` may be null (prepass and cache replays carry the
-  /// verdict only).
+  /// prepass. `detail` may be null (prepass records carry the verdict
+  /// only).
   void AppendPair(std::string_view candidate, int pass, size_t a, size_t b,
                   size_t eid_a, size_t eid_b, size_t window_distance,
                   PairProvenance provenance, const PairExplain* detail,
@@ -140,18 +130,10 @@ class ExplainLog {
                      const std::vector<size_t>& members);
 
   /// Per-provenance pair-record tallies; reconcile with sw.comparisons
-  /// (owned + verdict_cache + dag_equal + batch_rejects),
-  /// sw.verdict_cache_hits, sw.prepass_pairs, sw.dag_equal,
-  /// sw.batch_rejects.
+  /// (owned) and sw.prepass_pairs (prepass).
   uint64_t owned_pairs() const { return owned_pairs_; }
-  uint64_t cache_pairs() const { return cache_pairs_; }
   uint64_t prepass_pairs() const { return prepass_pairs_; }
-  uint64_t dag_pairs() const { return dag_pairs_; }
-  uint64_t filter_pairs() const { return filter_pairs_; }
-  uint64_t pair_records() const {
-    return owned_pairs_ + cache_pairs_ + prepass_pairs_ + dag_pairs_ +
-           filter_pairs_;
-  }
+  uint64_t pair_records() const { return owned_pairs_ + prepass_pairs_; }
 
   /// The NDJSON bytes accumulated so far.
   const std::string& text() const { return text_; }
@@ -160,9 +142,8 @@ class ExplainLog {
   /// captured state (checkpoint resume): later appends continue the
   /// stream, so a resumed run reproduces the uninterrupted byte stream
   /// exactly. No-op on a disabled log.
-  void Restore(std::string text, uint64_t owned_pairs, uint64_t cache_pairs,
-               uint64_t prepass_pairs, uint64_t dag_pairs,
-               uint64_t filter_pairs);
+  void Restore(std::string text, uint64_t owned_pairs,
+               uint64_t prepass_pairs);
 
   util::Status WriteFile(const std::string& path) const;
 
@@ -170,10 +151,7 @@ class ExplainLog {
   bool enabled_;
   std::string text_;
   uint64_t owned_pairs_ = 0;
-  uint64_t cache_pairs_ = 0;
   uint64_t prepass_pairs_ = 0;
-  uint64_t dag_pairs_ = 0;
-  uint64_t filter_pairs_ = 0;
 };
 
 }  // namespace sxnm::obs

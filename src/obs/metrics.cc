@@ -258,9 +258,6 @@ std::mutex& HelpMutex() {
 // SetPrometheusHelp adds or overrides entries under HelpMutex().
 std::map<std::string, std::string, std::less<>>& HelpRegistry() {
   static auto* registry = new std::map<std::string, std::string, std::less<>>{
-      {"cache.verdict_occupancy",
-       "Fill fraction of the cross-pass verdict caches, cumulative over the "
-       "candidates processed so far"},
       {"engine.num_candidates", "Duplicate candidate definitions in the run"},
       {"engine.num_threads", "Worker threads configured for the run"},
       {"kg.keys_emitted", "Object keys emitted during key generation"},
@@ -272,9 +269,7 @@ std::map<std::string, std::string, std::less<>>& HelpRegistry() {
        "3 transitive closure, 4 done"},
       {"robust.degraded", "Runs degraded by budget or deadline"},
       {"robust.pairs_elided", "Window pairs shed by governance"},
-      {"sw.batch_rejects", "Pairs rejected by the vectorized batch filter"},
-      {"sw.comparisons", "Pair similarity evaluations (owned + cache replays)"},
-      {"sw.dag_equal", "Pairs short-circuited by DAG subtree identity"},
+      {"sw.comparisons", "Pair similarity evaluations"},
       {"sw.hits", "Pair classifications above the duplicate threshold"},
       {"sw.pairs_done",
        "Window pairs processed across all passes so far (live progress)"},
@@ -282,7 +277,6 @@ std::map<std::string, std::string, std::less<>>& HelpRegistry() {
        "Window pairs the run plans to enumerate across all passes"},
       {"sw.pairs_windowed", "Window pairs enumerated by the pass machinery"},
       {"sw.prepass_skips", "Pairs resolved by the exact-OD prepass"},
-      {"sw.verdict_cache_hits", "Pairs replayed from the cross-pass cache"},
       {"tc.clusters", "Duplicate clusters after transitive closure"},
       {"tc.edges_done",
        "Accepted pair edges folded into the closure so far (live progress)"},

@@ -37,9 +37,13 @@ namespace sxnm::persist {
 /// mismatch reports kFailedPrecondition).
 inline constexpr char kSnapshotMagic[8] = {'S', 'X', 'N', 'M',
                                            'S', 'N', 'A', 'P'};
-inline constexpr uint32_t kSnapshotVersion = 1;
+/// Version 2 dropped the comparison-shortcut state: three PassStats
+/// counters, the cursor's verdict-cache occupancy pair, the GK rows'
+/// subtree ids, three explain tallies, and the verdict-cache frame.
+inline constexpr uint32_t kSnapshotVersion = 2;
 
-/// Frame types. Values are part of the on-disk format — append only.
+/// Frame types. Values are part of the on-disk format — append only;
+/// a retired value stays reserved and is never reassigned.
 enum class FrameType : uint32_t {
   kFingerprint = 1,     // config/corpus identity + engine flags
   kCursor = 2,          // pass cursor + governor state + timers
@@ -49,7 +53,7 @@ enum class FrameType : uint32_t {
   kReportRows = 6,      // per-pass report rows accumulated so far
   kMetrics = 7,         // metrics registry snapshot
   kExplain = 8,         // explain-log byte stream + tallies
-  kVerdictCache = 9,    // serialized verdict-cache contents
+  // 9: reserved (version 1's verdict-cache frame)
   kEndFrame = 0xE0F0,   // commit marker: payload = total frame count
 };
 

@@ -6,7 +6,6 @@
 
 #include "persist/io.h"
 #include "sxnm/config_xml.h"
-#include "sxnm/subtree_pool.h"
 
 namespace sxnm::core {
 
@@ -102,9 +101,6 @@ void EncodePassStats(const PassStats& stats, Encoder& enc) {
   enc.PutU64(stats.ed_bailouts);
   enc.PutU64(stats.desc_invocations);
   enc.PutU64(stats.desc_short_circuits);
-  enc.PutU64(stats.verdict_cache_hits);
-  enc.PutU64(stats.dag_equal);
-  enc.PutU64(stats.batch_rejects);
   enc.PutU64(stats.interned_equal);
   enc.PutU64(stats.myers_words);
   enc.PutDouble(stats.wall_seconds);
@@ -121,9 +117,6 @@ Result<PassStats> DecodePassStats(Decoder& dec) {
   ASSIGN_OR_RETURN(stats.ed_bailouts, dec.GetU64());
   ASSIGN_OR_RETURN(stats.desc_invocations, dec.GetU64());
   ASSIGN_OR_RETURN(stats.desc_short_circuits, dec.GetU64());
-  ASSIGN_OR_RETURN(stats.verdict_cache_hits, dec.GetU64());
-  ASSIGN_OR_RETURN(stats.dag_equal, dec.GetU64());
-  ASSIGN_OR_RETURN(stats.batch_rejects, dec.GetU64());
   ASSIGN_OR_RETURN(stats.interned_equal, dec.GetU64());
   ASSIGN_OR_RETURN(stats.myers_words, dec.GetU64());
   ASSIGN_OR_RETURN(stats.wall_seconds, dec.GetDouble());
@@ -219,8 +212,6 @@ void EncodeCursor(const CheckpointCursor& cursor, Encoder& enc) {
   enc.PutU64(cursor.levels_completed);
   enc.PutU64(cursor.budget_spent);
   enc.PutBool(cursor.budget_exhausted);
-  enc.PutU64(cursor.verdict_occupied_total);
-  enc.PutU64(cursor.verdict_capacity_total);
   enc.PutDouble(cursor.kg_seconds);
   enc.PutDouble(cursor.sw_seconds);
   enc.PutDouble(cursor.tc_seconds);
@@ -232,8 +223,6 @@ Result<CheckpointCursor> DecodeCursor(std::string_view payload) {
   ASSIGN_OR_RETURN(cursor.levels_completed, dec.GetU64());
   ASSIGN_OR_RETURN(cursor.budget_spent, dec.GetU64());
   ASSIGN_OR_RETURN(cursor.budget_exhausted, dec.GetBool());
-  ASSIGN_OR_RETURN(cursor.verdict_occupied_total, dec.GetU64());
-  ASSIGN_OR_RETURN(cursor.verdict_capacity_total, dec.GetU64());
   ASSIGN_OR_RETURN(cursor.kg_seconds, dec.GetDouble());
   ASSIGN_OR_RETURN(cursor.sw_seconds, dec.GetDouble());
   ASSIGN_OR_RETURN(cursor.tc_seconds, dec.GetDouble());
@@ -262,7 +251,6 @@ void EncodeGkTable(const GkTable& table, uint64_t candidate_index,
       enc.PutU32(ref.id);
       enc.PutU32(ref.length);
     }
-    enc.PutU32(row.subtree.id);  // kInvalidId round-trips as invalid
   }
 }
 
@@ -315,11 +303,8 @@ Result<EngineSnapshot::GkState> DecodeGkTable(std::string_view payload) {
       }
       row.norm_ods.push_back(ref);
     }
-    ASSIGN_OR_RETURN(row.subtree.id, dec.GetU32());
     table.rows.push_back(std::move(row));
   }
-  // SubtreePool contents are not serialized: after key generation the
-  // engine only compares SubtreeRef ids, which live in the rows.
   return state;
 }
 
@@ -332,7 +317,6 @@ void EncodeSpillRow(const GkRow& row, const OdPool& pool, Encoder& enc) {
   EncodeStringList(row.ods, enc);
   enc.PutU64(row.norm_ods.size());
   for (const OdRef& ref : row.norm_ods) enc.PutString(pool.View(ref));
-  enc.PutU32(row.subtree.id);  // kInvalidId round-trips as invalid
 }
 
 Result<GkRow> DecodeSpillRow(std::string_view payload, OdPool* pool) {
@@ -350,7 +334,6 @@ Result<GkRow> DecodeSpillRow(std::string_view payload, OdPool* pool) {
     ASSIGN_OR_RETURN(value, dec.GetString());
     row.norm_ods.push_back(pool->Intern(value));
   }
-  ASSIGN_OR_RETURN(row.subtree.id, dec.GetU32());
   if (!dec.AtEnd()) return Corrupt("trailing bytes after spill row");
   return row;
 }
@@ -612,35 +595,6 @@ Result<obs::MetricsSnapshot> DecodeMetricsSnapshot(std::string_view payload) {
     snapshot.histograms.push_back(std::move(sample));
   }
   return snapshot;
-}
-
-// --- Verdict-cache frame ---------------------------------------------------
-
-void EncodeVerdictEntries(
-    const std::vector<std::pair<uint64_t, bool>>& entries, Encoder& enc) {
-  enc.PutU64(entries.size());
-  for (const auto& [key, verdict] : entries) {
-    enc.PutU64(key);
-    enc.PutBool(verdict);
-  }
-}
-
-Result<std::vector<std::pair<uint64_t, bool>>> DecodeVerdictEntries(
-    std::string_view payload) {
-  Decoder dec(payload);
-  uint64_t count;
-  ASSIGN_OR_RETURN(count, dec.GetCount(dec.remaining() / 9));
-  std::vector<std::pair<uint64_t, bool>> entries;
-  entries.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t key;
-    ASSIGN_OR_RETURN(key, dec.GetU64());
-    bool verdict;
-    ASSIGN_OR_RETURN(verdict, dec.GetBool());
-    if (key == 0) return Corrupt("verdict-cache key 0 (reserved sentinel)");
-    entries.emplace_back(key, verdict);
-  }
-  return entries;
 }
 
 // --- Whole-snapshot save / load --------------------------------------------

@@ -2,9 +2,7 @@
 //
 // This maps the detector's resident state onto the persist layer's
 // snapshot container (persist/snapshot.h): the GK relations (rows plus
-// their OdPool; SubtreePool contents are deliberately not serialized —
-// after key generation the engine only ever consumes SubtreeRef *ids*,
-// whose equality survives in the rows themselves), every completed
+// their OdPool), every completed
 // candidate's merged result and cluster set, the degradation and report
 // rows accumulated so far, a metrics snapshot, the explain-log byte
 // stream, and the pass cursor (levels completed + budget governor
@@ -61,10 +59,6 @@ struct CheckpointCursor {
   uint64_t budget_spent = 0;
   bool budget_exhausted = false;
 
-  /// Cumulative verdict-cache occupancy accounting (cache.verdict_occupancy).
-  uint64_t verdict_occupied_total = 0;
-  uint64_t verdict_capacity_total = 0;
-
   /// Phase wall-clock accumulated before the cut.
   double kg_seconds = 0.0;
   double sw_seconds = 0.0;
@@ -104,8 +98,7 @@ struct EngineSnapshotView {
   const obs::MetricsSnapshot* metrics = nullptr;               // optional
   /// Explain byte stream + tallies; both null when explain is off.
   const std::string* explain_text = nullptr;
-  uint64_t explain_tallies[5] = {0, 0, 0, 0, 0};  // owned, cache, prepass,
-                                                  // dag, filter
+  uint64_t explain_tallies[2] = {0, 0};  // owned, prepass
 };
 
 /// Owned form of a loaded snapshot.
@@ -130,7 +123,7 @@ struct EngineSnapshot {
   std::vector<DetectionReport::Row> report_rows;
   obs::MetricsSnapshot metrics;
   std::string explain_text;
-  uint64_t explain_tallies[5] = {0, 0, 0, 0, 0};
+  uint64_t explain_tallies[2] = {0, 0};  // owned, prepass
 };
 
 /// Statistics of one committed snapshot (persist.* metrics).
@@ -193,25 +186,13 @@ util::Result<obs::MetricsSnapshot> DecodeMetricsSnapshot(
 /// One GK row serialized for an external-sort spill run. Unlike the
 /// GkTable codec, spill rows travel without their pool: normalized OD
 /// values are materialized inline and re-interned on decode, so a row
-/// is self-contained across the spill/merge round trip. Subtree ids are
-/// carried verbatim (the engine only ever compares them for equality).
+/// is self-contained across the spill/merge round trip.
 void EncodeSpillRow(const GkRow& row, const OdPool& pool,
                     persist::Encoder& enc);
 
 /// Decodes a spill row, re-interning its normalized OD values into
 /// `pool`. Structural corruption surfaces as kDataLoss.
 util::Result<GkRow> DecodeSpillRow(std::string_view payload, OdPool* pool);
-
-/// Verdict-cache contents as exported by VerdictCache::Export. The
-/// detector's level-boundary snapshots never hold a live cache (caches
-/// retire at each level's merge), so this frame is format surface for
-/// finer-grained future checkpoints; it round-trips and fuzzes like the
-/// rest of the format.
-void EncodeVerdictEntries(
-    const std::vector<std::pair<uint64_t, bool>>& entries,
-    persist::Encoder& enc);
-util::Result<std::vector<std::pair<uint64_t, bool>>> DecodeVerdictEntries(
-    std::string_view payload);
 
 }  // namespace sxnm::core
 

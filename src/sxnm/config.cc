@@ -131,12 +131,6 @@ Status ValidateCandidate(const CandidateConfig& c) {
   }
 
   if (c.window_size < 2) return fail("window size must be >= 2");
-  if (c.batch_scoring && !c.enable_fast_paths) {
-    return fail(
-        "batch_scoring requires enable_fast_paths (the SoA pre-filters "
-        "screen against the interned normalized ODs); set "
-        "batch-scoring=\"off\" alongside fast-paths=\"off\"");
-  }
   if (c.window_policy == WindowPolicy::kAdaptivePrefix) {
     if (c.max_window < c.window_size) {
       return fail("max_window must be >= window size");
@@ -358,21 +352,6 @@ CandidateBuilder& CandidateBuilder::ExactOdPrepass(bool enable) {
 
 CandidateBuilder& CandidateBuilder::FastPaths(bool enable) {
   candidate_.enable_fast_paths = enable;
-  // Batched scoring is a fast-path refinement; a builder turning fast
-  // paths off almost always wants the legacy scalar baseline, so follow
-  // suit instead of failing validation (call BatchScoring(true) after to
-  // override explicitly).
-  if (!enable) candidate_.batch_scoring = false;
-  return *this;
-}
-
-CandidateBuilder& CandidateBuilder::Dag(bool enable) {
-  candidate_.dag_compression = enable;
-  return *this;
-}
-
-CandidateBuilder& CandidateBuilder::BatchScoring(bool enable) {
-  candidate_.batch_scoring = enable;
   return *this;
 }
 

@@ -148,22 +148,6 @@ struct CandidateConfig {
   /// threshold); disable only to measure their effect (bench baselines).
   bool enable_fast_paths = true;
 
-  /// DAG compression: hash-cons every instance subtree at key-generation
-  /// time (SubtreePool), so structurally identical instances share one
-  /// id, and windowed pairs with equal ids are classified without the
-  /// comparison kernel (sw.dag_equal). Never changes which pairs are
-  /// compared or accepted; disable only for bench baselines.
-  bool dag_compression = true;
-
-  /// Batched SoA pre-filtering of window pairs: pending pairs are
-  /// gathered into struct-of-arrays buffers and screened in bulk with
-  /// SIMD upper-bound filters (length / interned-id / descendant-set
-  /// Jaccard bounds, util/simd.h) before survivors reach the Myers
-  /// kernel. Rejections are sound — a screened-out pair is provably
-  /// below the classifier threshold — so the verdict set is identical.
-  /// Requires enable_fast_paths (validated); disable for baselines.
-  bool batch_scoring = true;
-
   /// Resolves a pid to its PathEntry, nullptr when absent.
   const PathEntry* FindPath(int pid) const;
 };
@@ -407,8 +391,6 @@ class CandidateBuilder {
   CandidateBuilder& UseDescendants(bool use);
   CandidateBuilder& ExactOdPrepass(bool enable);
   CandidateBuilder& FastPaths(bool enable);
-  CandidateBuilder& Dag(bool enable);
-  CandidateBuilder& BatchScoring(bool enable);
   /// Adds one equational-theory rule: conditions as (pid, min_similarity)
   /// pairs; use RuleCondition::kDescendants (-1) as pid for a condition
   /// on the descendant similarity.

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 
 #include "util/fault_injection.h"
 #include "util/string_util.h"
@@ -176,7 +177,16 @@ Result<ObservabilityConfig> ParseObservability(const Element& elem) {
   return obs;
 }
 
-Result<CandidateConfig> ParseCandidate(const Element& elem) {
+// Candidate attributes that once switched removed comparison shortcuts
+// (subtree interning, the batched pre-filter). Old configs that carry
+// them still load: the value must still be a boolean, but it is ignored.
+constexpr std::string_view kDeprecatedCandidateAttrs[] = {"dag",
+                                                          "batch-scoring"};
+
+// `deprecated_seen[i]` is set when the candidate carries
+// kDeprecatedCandidateAttrs[i].
+Result<CandidateConfig> ParseCandidate(const Element& elem,
+                                       bool* deprecated_seen) {
   auto name = RequiredAttr(elem, "name");
   if (!name.ok()) return name.status();
   auto path = RequiredAttr(elem, "path");
@@ -201,14 +211,12 @@ Result<CandidateConfig> ParseCandidate(const Element& elem) {
   auto fast_paths = BoolAttrOr(elem, "fast-paths", true);
   if (!fast_paths.ok()) return fast_paths.status();
   builder.FastPaths(fast_paths.value());
-  auto dag = BoolAttrOr(elem, "dag", true);
-  if (!dag.ok()) return dag.status();
-  builder.Dag(dag.value());
-  // Default follows fast-paths (FastPaths(false) above already turned
-  // batching off), so legacy configs without the attribute stay valid.
-  auto batch = BoolAttrOr(elem, "batch-scoring", fast_paths.value());
-  if (!batch.ok()) return batch.status();
-  builder.BatchScoring(batch.value());
+  for (size_t i = 0; i < std::size(kDeprecatedCandidateAttrs); ++i) {
+    if (elem.FindAttribute(kDeprecatedCandidateAttrs[i]) == nullptr) continue;
+    auto ignored = BoolAttrOr(elem, kDeprecatedCandidateAttrs[i], false);
+    if (!ignored.ok()) return ignored.status();
+    deprecated_seen[i] = true;
+  }
 
   auto policy = ParseWindowPolicy(elem.AttributeOr("window-policy", "fixed"));
   if (!policy.ok()) return policy.status();
@@ -372,7 +380,8 @@ util::Result<uint64_t> ParseByteSize(std::string_view text) {
 
 }  // namespace
 
-util::Result<Config> ConfigFromXml(const xml::Document& doc) {
+util::Result<Config> ConfigFromXml(const xml::Document& doc,
+                                   std::vector<std::string>* warnings) {
   if (util::FaultInjector::Instance().ShouldFail("config.load")) {
     return Status::Internal("injected fault: configuration load failed");
   }
@@ -422,25 +431,36 @@ util::Result<Config> ConfigFromXml(const xml::Document& doc) {
   if (const Element* ckpt = doc.root()->FirstChildElement("checkpoint")) {
     SXNM_RETURN_IF_ERROR(ParseCheckpoint(*ckpt, config.mutable_checkpoint()));
   }
+  bool deprecated_seen[std::size(kDeprecatedCandidateAttrs)] = {};
   for (const Element* elem : doc.root()->ChildElements("candidate")) {
-    auto candidate = ParseCandidate(*elem);
+    auto candidate = ParseCandidate(*elem, deprecated_seen);
     if (!candidate.ok()) return candidate.status();
     SXNM_RETURN_IF_ERROR(config.AddCandidate(std::move(candidate).value()));
   }
   SXNM_RETURN_IF_ERROR(config.Validate());
+  for (size_t i = 0; i < std::size(kDeprecatedCandidateAttrs); ++i) {
+    if (deprecated_seen[i] && warnings != nullptr) {
+      warnings->push_back("candidate attribute '" +
+                          std::string(kDeprecatedCandidateAttrs[i]) +
+                          "' is deprecated and ignored: the comparison "
+                          "shortcut it switched was removed");
+    }
+  }
   return config;
 }
 
-util::Result<Config> ConfigFromXmlString(std::string_view text) {
+util::Result<Config> ConfigFromXmlString(std::string_view text,
+                                         std::vector<std::string>* warnings) {
   auto doc = xml::Parse(text);
   if (!doc.ok()) return doc.status();
-  return ConfigFromXml(doc.value());
+  return ConfigFromXml(doc.value(), warnings);
 }
 
-util::Result<Config> ConfigFromXmlFile(const std::string& path) {
+util::Result<Config> ConfigFromXmlFile(const std::string& path,
+                                       std::vector<std::string>* warnings) {
   auto doc = xml::ParseFile(path);
   if (!doc.ok()) return doc.status();
-  return ConfigFromXml(doc.value());
+  return ConfigFromXml(doc.value(), warnings);
 }
 
 xml::Document ConfigToXml(const Config& config) {
@@ -532,8 +552,6 @@ xml::Document ConfigToXml(const Config& config) {
     cand->SetAttribute("exact-od-prepass",
                        c.exact_od_prepass ? "true" : "false");
     cand->SetAttribute("fast-paths", c.enable_fast_paths ? "true" : "false");
-    cand->SetAttribute("dag", c.dag_compression ? "true" : "false");
-    cand->SetAttribute("batch-scoring", c.batch_scoring ? "true" : "false");
     cand->SetAttribute("window-policy", WindowPolicyName(c.window_policy));
     if (c.window_policy == WindowPolicy::kAdaptivePrefix) {
       cand->SetAttribute("adaptive-prefix",

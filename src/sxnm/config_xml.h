@@ -35,6 +35,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "sxnm/config.h"
 #include "util/status.h"
@@ -43,14 +44,23 @@
 namespace sxnm::core {
 
 /// Parses a configuration document. The result is validated
-/// (Config::Validate) before being returned.
-util::Result<Config> ConfigFromXml(const xml::Document& doc);
+/// (Config::Validate) before being returned. Deprecated-but-accepted
+/// input (the candidate attributes `dag` and `batch-scoring`, which are
+/// parsed and ignored) appends one message per attribute to `warnings`
+/// when it is non-null.
+util::Result<Config> ConfigFromXml(const xml::Document& doc,
+                                   std::vector<std::string>* warnings =
+                                       nullptr);
 
 /// Convenience: parse XML text, then ConfigFromXml.
-util::Result<Config> ConfigFromXmlString(std::string_view text);
+util::Result<Config> ConfigFromXmlString(std::string_view text,
+                                         std::vector<std::string>* warnings =
+                                             nullptr);
 
 /// Loads a configuration from a file.
-util::Result<Config> ConfigFromXmlFile(const std::string& path);
+util::Result<Config> ConfigFromXmlFile(const std::string& path,
+                                       std::vector<std::string>* warnings =
+                                           nullptr);
 
 /// Serializes `config` into the format above. Round-trips with
 /// ConfigFromXml.

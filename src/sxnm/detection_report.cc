@@ -24,9 +24,6 @@ void PassStats::Accumulate(const PassStats& other) {
   ed_bailouts += other.ed_bailouts;
   desc_invocations += other.desc_invocations;
   desc_short_circuits += other.desc_short_circuits;
-  verdict_cache_hits += other.verdict_cache_hits;
-  dag_equal += other.dag_equal;
-  batch_rejects += other.batch_rejects;
   interned_equal += other.interned_equal;
   myers_words += other.myers_words;
   wall_seconds += other.wall_seconds;
@@ -138,9 +135,6 @@ std::vector<std::string> StatsCells(const PassStats& s) {
           std::to_string(s.ed_bailouts),
           std::to_string(s.desc_invocations),
           std::to_string(s.desc_short_circuits),
-          std::to_string(s.verdict_cache_hits),
-          std::to_string(s.dag_equal),
-          std::to_string(s.batch_rejects),
           std::to_string(s.interned_equal),
           std::to_string(s.myers_words),
           Fixed2(s.SimMedian()),
@@ -154,9 +148,6 @@ void WriteStatsJson(std::ostream& os, const PassStats& s) {
      << ", \"ed_bailouts\": " << s.ed_bailouts
      << ", \"desc_invocations\": " << s.desc_invocations
      << ", \"desc_short_circuits\": " << s.desc_short_circuits
-     << ", \"verdict_cache_hits\": " << s.verdict_cache_hits
-     << ", \"dag_equal\": " << s.dag_equal
-     << ", \"batch_rejects\": " << s.batch_rejects
      << ", \"interned_equal\": " << s.interned_equal
      << ", \"myers_words\": " << s.myers_words
      << ", \"wall_seconds\": " << s.wall_seconds << ", \"sim_buckets\": [";
@@ -220,7 +211,6 @@ std::string DetectionReport::ToTable() const {
   util::TablePrinter table({"candidate", "pass", "instances", "windowed",
                             "prepass_skips", "comparisons", "hits",
                             "ed_bailouts", "desc_jaccard", "desc_shortcut",
-                            "cache_hits", "dag_eq", "batch_rej",
                             "interned_eq", "myers_words",
                             "sim_p50", "wall_ms"});
   for (const Row& row : rows) {

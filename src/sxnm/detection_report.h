@@ -30,12 +30,6 @@ struct PassStats {
   size_t desc_invocations = 0;     // descendant Jaccard evaluations
   size_t desc_short_circuits = 0;  // verdict fixed by OD bounds alone,
                                    // descendant Jaccard skipped
-  size_t verdict_cache_hits = 0;   // pair verdicts reused from another
-                                   // pass via the cross-pass cache
-  size_t dag_equal = 0;            // pair verdicts replayed from the
-                                   // DAG-interned identical-subtree memo
-  size_t batch_rejects = 0;        // pairs the batched SoA pre-filter
-                                   // proved below threshold (no kernel)
   size_t interned_equal = 0;       // OD components scored 1.0 by interned
                                    // pool-ID equality, no bytes touched
   size_t myers_words = 0;          // 64-bit words processed by the

@@ -22,7 +22,6 @@
 #include "sxnm/similarity_measure.h"
 #include "sxnm/sliding_window.h"
 #include "sxnm/transitive_closure.h"
-#include "sxnm/verdict_cache.h"
 #include "text/myers.h"
 #include "util/cancellation.h"
 #include "util/fault_injection.h"
@@ -74,17 +73,6 @@ uint64_t PackPair(OrdinalPair pair) {
          static_cast<uint64_t>(pair.second);
 }
 
-// Which fast path classified a windowed pair. The distinction is
-// pair-deterministic (dag eligibility and the batched filter's verdict
-// depend only on the pair's rows), so every pass that windows a pair
-// records the same source — the merge relies on this to canonicalize
-// provenance without knowing the scheduling.
-enum class HitSource : uint8_t {
-  kKernel,  // similarity kernel (or a cross-pass cache replay of it)
-  kDag,     // identical interned subtrees: memoized self-comparison
-  kFilter,  // batched SoA pre-filter proved the pair below threshold
-};
-
 // One windowed pair as recorded by a pass worker. Only the verdict's
 // classification survives into the merge; everything else about the
 // verdict is pair-deterministic and need not be kept. The pair is stored
@@ -97,7 +85,6 @@ struct PassHit {
   uint64_t packed;  // PackPair of the ordinal pair
   uint32_t distance;
   bool is_duplicate;
-  HitSource source;
 
   OrdinalPair pair() const {
     return {static_cast<size_t>(packed >> 32),
@@ -131,11 +118,6 @@ struct CandidateRun {
   const GkTable* table = nullptr;
   std::unique_ptr<SimilarityMeasure> measure;
 
-  // Cross-pass verdict cache, shared by all of this candidate's window
-  // passes (null when fewer than two passes could share a pair, or fast
-  // paths are off). Internally synchronized.
-  std::unique_ptr<VerdictCache> verdict_cache;
-
   // False when key generation for this candidate was cut off by
   // cancellation: every pass is then skipped (a partial GK relation would
   // make the windowing depend on where the cut landed).
@@ -146,20 +128,6 @@ struct CandidateRun {
   // passes run.
   util::FlatU64Set prepass_pairs;
   std::vector<OrdinalPair> prepass_accepted;
-
-  // DAG shortcut memo: interned subtree id -> the verdict of comparing
-  // any two rows with that id. Built serially at level setup (so it is
-  // identical for any thread count) from one CompareFast of the id's
-  // first row against itself; an id is memoized only when that verdict
-  // never consulted descendant cluster sets — then it is a pure function
-  // of the (byte-identical) row contents, valid for every ordinal pair.
-  // Read-only while the passes run. Empty when dag compression is off.
-  std::unordered_map<uint32_t, bool> dag_verdicts;
-
-  // True when the batched SoA pre-filter may screen this candidate's
-  // pairs (SimilarityMeasure::BatchFilterEligible, checked once here
-  // rather than per pair).
-  bool batch_eligible = false;
 
   // pass_orders[key_index]: the pass's sorted order, computed once in
   // the level's order stage (in-memory stable sort, or the external
@@ -250,34 +218,6 @@ void RunExactOdPrepass(CandidateRun& run) {
       key += '\x1f';
     }
     group(first_of, std::move(key), row.ordinal);
-  }
-}
-
-// Builds the DAG shortcut memo (CandidateRun::dag_verdicts). Two rows
-// whose elements interned to the same SubtreeRef are byte-identical in
-// every derived field (keys, ODs, normalized ODs), so the kernel's
-// verdict on such a pair equals its verdict on the id's representative
-// row compared against itself — unless descendant similarity entered the
-// decision, which reads per-ordinal cluster sets and may differ between
-// occurrences; those ids are simply left out of the memo and their pairs
-// take the ordinary kernel path. Runs serially before the passes.
-void BuildDagMemo(CandidateRun& run) {
-  const std::vector<GkRow>& rows = run.table->rows;
-  // id -> (first ordinal, multiplicity); only duplicated ids matter.
-  std::unordered_map<uint32_t, std::pair<size_t, size_t>> groups;
-  for (const GkRow& row : rows) {
-    if (!row.subtree.valid()) continue;
-    auto [it, inserted] =
-        groups.emplace(row.subtree.id, std::make_pair(row.ordinal, size_t{1}));
-    if (!inserted) ++it->second.second;
-  }
-  for (const auto& [id, group] : groups) {
-    if (group.second < 2) continue;
-    const GkRow& rep = rows[group.first];
-    SimilarityVerdict verdict = run.measure->CompareFast(rep, rep);
-    if (!verdict.desc_evaluated) {
-      run.dag_verdicts.emplace(id, verdict.is_duplicate);
-    }
   }
 }
 
@@ -386,16 +326,12 @@ void ComputePassOrder(CandidateRun& run, size_t key_index, bool explain_on,
 // entering position falls in the shard's owned range and compares them,
 // buffering (pair, verdict) locally. Pairs already accepted by the
 // exact-OD pre-pass are skipped, exactly as the serial detector skips
-// pairs in its `compared` set. A pair windowed by more than one key
-// pass is classified exactly once: the first pass to reach it through
-// the candidate's shared verdict cache owns the comparison, every later
-// pass reuses the published verdict (waiting briefly when the owner is
-// mid-computation on another worker). The verdict is a pure function of
-// the pair, so which pass wins the claim is invisible in the output;
-// without a cache each pass simply computes its own verdicts and the
-// deterministic merge drops the repeats. Within one pass no pair spans
-// two shards (each pair belongs to its entering position's owner), so
-// shards of a pass never contend on a pair either.
+// pairs in its `compared` set; every other windowed pair goes to the
+// similarity kernel. A pair windowed by more than one key pass is
+// classified by each of them — the verdict is a pure function of the
+// pair — and the deterministic merge drops the repeats. Within one pass
+// no pair spans two shards (each pair belongs to its entering position's
+// owner), so the shard tasks share nothing but read-only state.
 void RunWindowPass(CandidateRun& run, size_t key_index, size_t shard,
                    const util::CancellationToken& token,
                    const util::Deadline& deadline, bool interruptible,
@@ -430,7 +366,6 @@ void RunWindowPass(CandidateRun& run, size_t key_index, size_t shard,
   hits.reserve(WindowPairCountRange(order.size(), plan.window,
                                     slice.owned_begin, slice.owned_end));
   PassStats& stats = run.shard_stats[key_index][shard];
-  VerdictCache* cache = run.verdict_cache.get();
   // Window distances for the explain log come from the inverse rank
   // array, built only when explain is on — the classification hot path
   // allocates nothing extra otherwise.
@@ -443,9 +378,8 @@ void RunWindowPass(CandidateRun& run, size_t key_index, size_t shard,
   }
   // Per-pass similarity distribution: one engine-wide histogram (handle
   // resolved once, before the hot loop) plus the report row's decile
-  // buckets. Owned computations only — with a verdict cache each unique
-  // pair contributes once, without one each pass scores independently;
-  // either way the observed multiset is deterministic.
+  // buckets. Every pass scores its pairs independently, so the observed
+  // multiset is deterministic.
   const bool track_sim = metrics.enabled();
   obs::Histogram* sim_hist = nullptr;
   if (track_sim) {
@@ -467,90 +401,21 @@ void RunWindowPass(CandidateRun& run, size_t key_index, size_t shard,
   uint32_t pairs_done_pending = 0;
   constexpr uint32_t kPairsDoneBatch = 1024;
 
-  // Batched pre-filter state: pairs that pass the prepass and dag checks
-  // are gathered (with their window distances) and screened kBatchSize
-  // at a time; the reject mask is pair-deterministic, so which pairs
-  // share a block is invisible in the output. Survivors run the ordinary
-  // cache/kernel path in gather order.
-  const bool use_dag = !run.dag_verdicts.empty();
-  const bool use_batch = run.batch_eligible;
-  constexpr size_t kBatchSize = 512;
-  std::vector<OrdinalPair> pending;
-  std::vector<size_t> pending_slot;  // index into `hits` per pending pair
-  BatchFilterScratch scratch;
-  if (use_batch) {
-    pending.reserve(kBatchSize);
-    pending_slot.reserve(kBatchSize);
-  }
-
-  // The ordinary classification of one pair: cross-pass verdict cache,
-  // then the similarity kernel.
-  auto classify_value = [&](OrdinalPair pair) -> bool {
-    uint64_t packed = PackPair(pair);
-    VerdictCache::Lookup lookup;
-    if (cache != nullptr) lookup = cache->AcquireOrWait(packed);
-    bool is_duplicate;
-    if (cache != nullptr && !lookup.owner) {
-      // Another pass already owns this pair's classification. The hit
-      // still counts as a comparison — `comparisons` counts pair
-      // classifications (pairs_windowed == comparisons + prepass_skips
-      // must keep holding) — while the kernel counters below only ever
-      // count the owning computation, keeping their totals equal to the
-      // serial engine's unique work for any thread count.
-      ++stats.verdict_cache_hits;
-      is_duplicate = lookup.is_duplicate;
-    } else {
-      SimilarityVerdict verdict = run.measure->CompareFast(
-          table.rows[pair.first], table.rows[pair.second]);
-      if (cache != nullptr) cache->Publish(lookup, verdict.is_duplicate);
-      is_duplicate = verdict.is_duplicate;
-      if (verdict.pruned) ++stats.ed_bailouts;
-      if (verdict.desc_evaluated) ++stats.desc_invocations;
-      if (verdict.desc_short_circuit) ++stats.desc_short_circuits;
-      stats.interned_equal += verdict.interned_equal;
-      if (track_sim) {
-        sim_hist->Observe(verdict.combined);
-        ++stats.sim_buckets[SimilarityBucket(verdict.combined)];
-      }
-    }
+  // One pair classification: the similarity kernel plus its tallies.
+  auto classify = [&](OrdinalPair pair) -> bool {
+    SimilarityVerdict verdict = run.measure->CompareFast(
+        table.rows[pair.first], table.rows[pair.second]);
     ++stats.comparisons;
-    if (is_duplicate) ++stats.hits;
-    return is_duplicate;
-  };
-
-  // Resolves the gathered pairs against their placeholder slots. The
-  // slot was claimed at visit time, so `hits` stays in pure visit order
-  // no matter where the flush boundaries fall — a shard (or an early
-  // stop) that cuts a batch short produces the same per-pair records as
-  // one that doesn't, which the cross-shard explain identity relies on.
-  auto flush = [&]() {
-    if (pending.empty()) return;
-    run.measure->BatchFilter(table.rows, pending.data(), pending.size(),
-                             &scratch);
-    // Warm the verdict-cache slots of every survivor before the classify
-    // walk: the probes then overlap instead of stalling one DRAM miss per
-    // pair (a block of 512 slots is well within L2).
-    if (cache != nullptr) {
-      for (size_t i = 0; i < pending.size(); ++i) {
-        if (scratch.reject[i] == 0) cache->Prefetch(PackPair(pending[i]));
-      }
+    if (verdict.is_duplicate) ++stats.hits;
+    if (verdict.pruned) ++stats.ed_bailouts;
+    if (verdict.desc_evaluated) ++stats.desc_invocations;
+    if (verdict.desc_short_circuit) ++stats.desc_short_circuits;
+    stats.interned_equal += verdict.interned_equal;
+    if (track_sim) {
+      sim_hist->Observe(verdict.combined);
+      ++stats.sim_buckets[SimilarityBucket(verdict.combined)];
     }
-    for (size_t i = 0; i < pending.size(); ++i) {
-      PassHit& slot = hits[pending_slot[i]];
-      if (scratch.reject[i] != 0) {
-        // Provably below threshold: the verdict is false without running
-        // the kernel. Still a pair classification, so the closure
-        // pairs_windowed == comparisons + prepass_skips keeps holding.
-        ++stats.batch_rejects;
-        ++stats.comparisons;
-        slot.is_duplicate = false;
-        slot.source = HitSource::kFilter;
-      } else {
-        slot.is_duplicate = classify_value(pending[i]);
-      }
-    }
-    pending.clear();
-    pending_slot.clear();
+    return verdict.is_duplicate;
   };
 
   auto visit = [&](size_t a, size_t b) {
@@ -570,34 +435,7 @@ void RunWindowPass(CandidateRun& run, size_t key_index, size_t shard,
       uint32_t rb = inv_rank[b];
       distance = ra > rb ? ra - rb : rb - ra;
     }
-    if (use_dag) {
-      // Structurally identical subtrees with a memoized verdict skip the
-      // kernel (and the verdict cache — every pass replays the same
-      // memo, so there is nothing to share).
-      const SubtreeRef sa = table.rows[pair.first].subtree;
-      if (sa.valid() && sa == table.rows[pair.second].subtree) {
-        auto it = run.dag_verdicts.find(sa.id);
-        if (it != run.dag_verdicts.end()) {
-          ++stats.dag_equal;
-          ++stats.comparisons;
-          if (it->second) ++stats.hits;
-          hits.push_back(
-              {PackPair(pair), distance, it->second, HitSource::kDag});
-          return;
-        }
-      }
-    }
-    if (use_batch) {
-      // Placeholder in visit order; the flush fills the verdict (and
-      // retags filter rejects) in place.
-      pending.push_back(pair);
-      pending_slot.push_back(hits.size());
-      hits.push_back({PackPair(pair), distance, false, HitSource::kKernel});
-      if (pending.size() >= kBatchSize) flush();
-      return;
-    }
-    hits.push_back(
-        {PackPair(pair), distance, classify_value(pair), HitSource::kKernel});
+    hits.push_back({PackPair(pair), distance, classify(pair)});
   };
   // A shrunk boundary pass always runs the plain fixed window: adaptive
   // extension would overrun the budget it was shrunk to fit. Only the
@@ -635,10 +473,6 @@ void RunWindowPass(CandidateRun& run, size_t key_index, size_t shard,
     stats.pairs_windowed = ForEachWindowPairRange(
         order, plan.window, slice.owned_begin, slice.owned_end, visit);
   }
-  // Pairs still gathered when the enumeration stopped (end of pass or a
-  // cooperative early stop) were counted into pairs_windowed, so they
-  // must be classified for the counter closure to hold.
-  flush();
   classify_span.End();
   stats.myers_words = text::ThreadMyersStats().words - myers_before;
   stats.wall_seconds = watch.ElapsedSeconds();
@@ -654,9 +488,6 @@ void RunWindowPass(CandidateRun& run, size_t key_index, size_t shard,
     metrics.counter("sw.ed_bailouts").Add(stats.ed_bailouts);
     metrics.counter("sw.desc_jaccard").Add(stats.desc_invocations);
     metrics.counter("sw.desc_short_circuits").Add(stats.desc_short_circuits);
-    metrics.counter("sw.verdict_cache_hits").Add(stats.verdict_cache_hits);
-    metrics.counter("sw.dag_equal").Add(stats.dag_equal);
-    metrics.counter("sw.batch_rejects").Add(stats.batch_rejects);
     metrics.counter("sw.interned_equal").Add(stats.interned_equal);
     metrics.counter("text.myers_words").Add(stats.myers_words);
     metrics.histogram("sw.pass_seconds", obs::DefaultTimeBounds())
@@ -679,9 +510,6 @@ void AccumulateShardStats(PassStats& total, const PassStats& part) {
   total.ed_bailouts += part.ed_bailouts;
   total.desc_invocations += part.desc_invocations;
   total.desc_short_circuits += part.desc_short_circuits;
-  total.verdict_cache_hits += part.verdict_cache_hits;
-  total.dag_equal += part.dag_equal;
-  total.batch_rejects += part.batch_rejects;
   total.interned_equal += part.interned_equal;
   total.myers_words += part.myers_words;
   total.wall_seconds += part.wall_seconds;
@@ -697,15 +525,8 @@ void AccumulateShardStats(PassStats& total, const PassStats& part) {
 
 // Explain-log emission for one candidate, from the serial merge point:
 // the candidate header, one instance record per GK row (keys + per-pass
-// sort ranks), one pair record per prepass accept, and one pair record
-// per replayed pass hit. Provenance is canonicalized here rather than
-// taken from the workers: which pass actually owned a cached verdict is
-// scheduling-dependent, but the *count* of owned computations is not, so
-// the first merge-order occurrence of a pair is tagged `owned` (with the
-// full scoring breakdown recomputed exactly) and every repeat
-// `verdict_cache`. The per-tag record counts then reconcile with
-// sw.comparisons / sw.verdict_cache_hits / sw.prepass_pairs, and the
-// byte stream is identical for any num_threads.
+// sort ranks), and one pair record per prepass accept. The window
+// passes' pair records follow from MergePasses.
 void EmitCandidateExplain(const CandidateRun& run, int depth,
                           obs::ExplainLog& explain) {
   const GkTable& table = *run.table;
@@ -746,9 +567,11 @@ void EmitCandidateExplain(const CandidateRun& run, int depth,
 // Deterministic merge: replays the pass buffers in key order against a
 // flat hash set, so the accepted pairs, their order, and the comparison
 // count are those of the serial single-pass-at-a-time detector no matter
-// how the passes were interleaved across threads. Verdict-cache hits
-// record the same (pair, verdict) entries as owned computations, so the
-// replay never needs to know which pass actually ran the kernel.
+// how the passes were interleaved across threads. With the explain log
+// on, every pass hit becomes one `owned` pair record (each pass ran the
+// kernel on it) with the full scoring breakdown recomputed exactly, so
+// the record counts reconcile with sw.comparisons / sw.prepass_pairs and
+// the byte stream is identical for any num_threads.
 void MergePasses(CandidateRun& run, CandidateResult& result, int depth,
                  obs::MetricsRegistry& metrics, obs::ExplainLog& explain) {
   if (explain.enabled()) EmitCandidateExplain(run, depth, explain);
@@ -760,13 +583,6 @@ void MergePasses(CandidateRun& run, CandidateResult& result, int depth,
     for (const auto& hits : shards) total_hits += hits.size();
   }
   seen.Reserve(seen.size() + total_hits);
-
-  // Canonical provenance: with a verdict cache, the first merge-order
-  // occurrence of a pair counts as the owned computation; without one,
-  // every pass computed its own verdict, so every record is owned.
-  const bool has_cache = run.verdict_cache != nullptr;
-  util::FlatU64Set first_seen;
-  if (explain.enabled() && has_cache) first_seen.Reserve(total_hits);
 
   const std::vector<xml::ElementId>& eids = run.instances->eids;
   // Reserve() above sized `seen` for every hit, so no rehash happens
@@ -785,33 +601,13 @@ void MergePasses(CandidateRun& run, CandidateResult& result, int depth,
         uint64_t packed = hit.packed;
         if (explain.enabled()) {
           auto [a, b] = hit.pair();
-          // Dag and filter hits keep their tag on every occurrence: those
-          // paths bypass the verdict cache (each pass replays the memo /
-          // re-screens deterministically), so there is no owned kernel
-          // record to reconcile against. Kernel hits canonicalize as
-          // before: first merge-order occurrence owned, repeats cached.
-          obs::PairProvenance provenance = obs::PairProvenance::kOwned;
-          if (hit.source == HitSource::kDag) {
-            provenance = obs::PairProvenance::kDagEqual;
-          } else if (hit.source == HitSource::kFilter) {
-            provenance = obs::PairProvenance::kBatchFilter;
-          } else if (has_cache && !first_seen.Insert(packed)) {
-            provenance = obs::PairProvenance::kVerdictCache;
-          }
-          if (provenance == obs::PairProvenance::kOwned) {
-            obs::PairExplain detail =
-                run.measure->Explain(run.table->rows[a], run.table->rows[b]);
-            explain.AppendPair(run.cand->name, static_cast<int>(k), a, b,
-                               static_cast<size_t>(eids[a]),
-                               static_cast<size_t>(eids[b]), hit.distance,
-                               provenance, &detail, hit.is_duplicate);
-          } else {
-            explain.AppendPair(run.cand->name, static_cast<int>(k), a, b,
-                               static_cast<size_t>(eids[a]),
-                               static_cast<size_t>(eids[b]), hit.distance,
-                               provenance, /*detail=*/nullptr,
-                               hit.is_duplicate);
-          }
+          obs::PairExplain detail =
+              run.measure->Explain(run.table->rows[a], run.table->rows[b]);
+          explain.AppendPair(run.cand->name, static_cast<int>(k), a, b,
+                             static_cast<size_t>(eids[a]),
+                             static_cast<size_t>(eids[b]), hit.distance,
+                             obs::PairProvenance::kOwned, &detail,
+                             hit.is_duplicate);
         }
         if (!seen.Insert(packed)) continue;
         ++result.comparisons;
@@ -911,7 +707,6 @@ util::Result<DetectionResult> Detector::Run(const xml::Document& doc,
     metrics.counter("tc.edges_done");
     metrics.gauge("kg.rows_total");
     metrics.gauge("sw.pairs_planned_total");
-    metrics.gauge("cache.verdict_occupancy");
   }
 
   // --- Checkpoint/resume setup ---------------------------------------------
@@ -958,8 +753,7 @@ util::Result<DetectionResult> Detector::Run(const xml::Document& doc,
           .Add(resume.cursor.levels_completed);
     }
     explain.Restore(std::move(resume.explain_text), resume.explain_tallies[0],
-                    resume.explain_tallies[1], resume.explain_tallies[2],
-                    resume.explain_tallies[3], resume.explain_tallies[4]);
+                    resume.explain_tallies[1]);
     result.timer.Add(kPhaseKeyGeneration, resume.cursor.kg_seconds);
     result.timer.Add(kPhaseSlidingWindow, resume.cursor.sw_seconds);
     result.timer.Add(kPhaseTransitiveClosure, resume.cursor.tc_seconds);
@@ -1085,12 +879,6 @@ util::Result<DetectionResult> Detector::Run(const xml::Document& doc,
   size_t budget_spent = 0;
   bool budget_exhausted = false;
 
-  // Cumulative verdict-cache accounting for the cache.verdict_occupancy
-  // gauge: caches are per candidate run, so the gauge reports the fill
-  // fraction over every cache retired so far.
-  size_t verdict_occupied_total = 0;
-  size_t verdict_capacity_total = 0;
-
   // Out-of-core knobs, fixed for the run. The budget is split evenly
   // across the level's pass tasks (not its threads — the split, and so
   // every extsort.* counter, must not depend on the thread count), with
@@ -1105,10 +893,6 @@ util::Result<DetectionResult> Detector::Run(const xml::Document& doc,
     // exactly the passes an uninterrupted run would.
     budget_spent = static_cast<size_t>(resume.cursor.budget_spent);
     budget_exhausted = resume.cursor.budget_exhausted;
-    verdict_occupied_total =
-        static_cast<size_t>(resume.cursor.verdict_occupied_total);
-    verdict_capacity_total =
-        static_cast<size_t>(resume.cursor.verdict_capacity_total);
     levels_restored = resume.cursor.levels_completed;
     if (levels_restored > levels.size()) {
       return Status::DataLoss(
@@ -1136,8 +920,6 @@ util::Result<DetectionResult> Detector::Run(const xml::Document& doc,
     view.cursor.levels_completed = levels_completed;
     view.cursor.budget_spent = budget_spent;
     view.cursor.budget_exhausted = budget_exhausted;
-    view.cursor.verdict_occupied_total = verdict_occupied_total;
-    view.cursor.verdict_capacity_total = verdict_capacity_total;
     view.cursor.kg_seconds = result.KeyGenerationSeconds();
     view.cursor.sw_seconds = result.SlidingWindowSeconds();
     view.cursor.tc_seconds = result.TransitiveClosureSeconds();
@@ -1157,12 +939,10 @@ util::Result<DetectionResult> Detector::Run(const xml::Document& doc,
       metrics_snapshot = metrics.Snapshot();
       view.metrics = &metrics_snapshot;
     }
-    uint64_t explain_tallies[5] = {explain.owned_pairs(), explain.cache_pairs(),
-                                   explain.prepass_pairs(), explain.dag_pairs(),
-                                   explain.filter_pairs()};
     if (explain.enabled()) {
       view.explain_text = &explain.text();
-      for (size_t i = 0; i < 5; ++i) view.explain_tallies[i] = explain_tallies[i];
+      view.explain_tallies[0] = explain.owned_pairs();
+      view.explain_tallies[1] = explain.prepass_pairs();
     }
     SnapshotWriteStats stats;
     SXNM_RETURN_IF_ERROR(SaveEngineSnapshot(view, ckpt_path, &stats));
@@ -1219,10 +999,6 @@ util::Result<DetectionResult> Detector::Run(const xml::Document& doc,
       run.kg_ok = kg_done[run.index] != 0;
 
       if (run.cand->exact_od_prepass && run.kg_ok) RunExactOdPrepass(run);
-      if (run.cand->dag_compression && run.kg_ok) BuildDagMemo(run);
-      if (run.kg_ok) {
-        run.batch_eligible = run.measure->BatchFilterEligible(run.table->rows);
-      }
 
       // Sized from the config, not the GK table: a candidate whose key
       // generation was shed has an empty table but still owes one
@@ -1278,26 +1054,6 @@ util::Result<DetectionResult> Detector::Run(const xml::Document& doc,
           }
         }
         pass_tasks.emplace_back(r, k);
-      }
-
-      // Cross-pass verdict cache: only pays off when at least two passes
-      // can window the same pair. Sized from each planned pass's
-      // worst-case enumeration (adaptive passes may extend any window up
-      // to max_window), so AcquireOrWait can never run out of slots.
-      if (run.cand->enable_fast_paths && run.kg_ok && num_keys >= 2) {
-        size_t distinct_bound = 0;
-        for (const PassPlan& plan : run.plans) {
-          if (plan.skip) continue;
-          size_t w = plan.window;
-          if (run.cand->window_policy == WindowPolicy::kAdaptivePrefix &&
-              !plan.shrunk) {
-            w = std::max(w, run.cand->max_window);
-          }
-          distinct_bound += WindowPairCount(n_inst, w);
-        }
-        if (distinct_bound > 0) {
-          run.verdict_cache = std::make_unique<VerdictCache>(distinct_bound);
-        }
       }
     }
 
@@ -1410,17 +1166,6 @@ util::Result<DetectionResult> Detector::Run(const xml::Document& doc,
       cand_result.name = run.cand->name;
       cand_result.num_instances = run.instances->NumInstances();
       MergePasses(run, cand_result, depth, metrics, explain);
-      if (metrics.enabled() && run.verdict_cache != nullptr) {
-        // Serial quiescent point: the level's passes have joined, so the
-        // scan is exact.
-        verdict_occupied_total += run.verdict_cache->Occupancy();
-        verdict_capacity_total += run.verdict_cache->capacity();
-      }
-    }
-    if (metrics.enabled() && verdict_capacity_total > 0) {
-      metrics.gauge("cache.verdict_occupancy")
-          .Set(static_cast<double>(verdict_occupied_total) /
-               static_cast<double>(verdict_capacity_total));
     }
     merge_span.End();
     result.timer.Add(kPhaseSlidingWindow, sw_watch.ElapsedSeconds());

@@ -111,10 +111,6 @@ util::Result<KeyGenResult> GenerateKeysImpl(
     }
     if (measure) norm_watch.Pause();
 
-    if (candidate.dag_compression) {
-      row.subtree = table.subtree_pool.Intern(element);
-    }
-
     table.rows.push_back(std::move(row));
     if (rows_done != nullptr && ++rows_done_pending >= kRowsDoneBatch) {
       rows_done->Add(rows_done_pending);
@@ -132,9 +128,6 @@ util::Result<KeyGenResult> GenerateKeysImpl(
         .Add(static_cast<uint64_t>(norm_watch.ElapsedSeconds() * 1e6));
     metrics->counter("kg.od_pool_strings").Add(table.od_pool.size());
     metrics->counter("kg.od_pool_bytes").Add(table.od_pool.arena_bytes());
-    metrics->counter("kg.subtree_pool_nodes")
-        .Add(table.subtree_pool.num_nodes());
-    metrics->counter("kg.subtree_pool_bytes").Add(table.subtree_pool.bytes());
   }
   KeyGenResult out;
   out.table = std::move(table);

@@ -13,7 +13,6 @@
 #include "sxnm/candidate_tree.h"
 #include "sxnm/config.h"
 #include "sxnm/od_pool.h"
-#include "sxnm/subtree_pool.h"
 #include "util/cancellation.h"
 #include "util/status.h"
 #include "xml/node.h"
@@ -38,14 +37,6 @@ struct GkRow {
   /// `ods`; may be empty on rows constructed by hand (the comparison
   /// kernels then fall back to normalizing on the fly).
   std::vector<OdRef> norm_ods;
-
-  /// Hash-consed id of the instance's whole subtree in the table's
-  /// SubtreePool. Equal valid ids mean the instances are structurally
-  /// identical document fragments — same keys, same ODs, same
-  /// descendants — which the detector exploits to classify such window
-  /// pairs without the comparison kernel (sw.dag_equal). Invalid when
-  /// the candidate runs with dag_compression off (or on hand-built rows).
-  SubtreeRef subtree;
 };
 
 /// The GK relation of one candidate.
@@ -56,10 +47,6 @@ struct GkTable {
 
   /// Interning pool the rows' `norm_ods` references resolve against.
   OdPool od_pool;
-
-  /// Hash-consing pool the rows' `subtree` ids resolve against (empty
-  /// when dag compression is disabled for the candidate).
-  SubtreePool subtree_pool;
 
   /// Row indices sorted lexicographically by keys[key_index]
   /// (stable: ties keep instance order). `key_index < num_keys`.
@@ -76,10 +63,8 @@ struct GkTable {
 /// With a non-null `metrics` registry, key generation contributes the
 /// counters kg.rows, kg.keys_emitted, kg.od_values, kg.od_normalize_us
 /// (time spent lowercasing / whitespace-collapsing OD values, µs),
-/// kg.od_pool_strings (distinct interned normalized values),
-/// kg.od_pool_bytes (interning arena size), and — when the candidate has
-/// dag_compression on — kg.subtree_pool_nodes / kg.subtree_pool_bytes
-/// (distinct DAG nodes and their encoding bytes).
+/// kg.od_pool_strings (distinct interned normalized values), and
+/// kg.od_pool_bytes (interning arena size).
 GkTable GenerateKeys(const CandidateConfig& candidate,
                      const std::vector<const xml::Element*>& elements,
                      const std::vector<xml::ElementId>& eids,

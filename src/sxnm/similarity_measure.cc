@@ -6,7 +6,6 @@
 #include <string_view>
 
 #include "text/edit_distance.h"
-#include "util/simd.h"
 
 namespace sxnm::core {
 
@@ -413,207 +412,6 @@ SimilarityVerdict SimilarityMeasure::CompareImpl(const GkRow& a,
   }
   verdict.is_duplicate = verdict.combined >= t;
   return verdict;
-}
-
-bool SimilarityMeasure::BatchFilterEligible(
-    const std::vector<GkRow>& rows) const {
-  if (!config_.enable_fast_paths || !config_.batch_scoring) return false;
-  if (!config_.theory.empty()) return false;
-  if (od_pool_ == nullptr) return false;
-  for (const GkRow& row : rows) {
-    if (row.ods.size() != config_.od.size() ||
-        row.norm_ods.size() != row.ods.size()) {
-      return false;  // hand-built rows without interned normalized ODs
-    }
-  }
-  return true;
-}
-
-void SimilarityMeasure::BatchFilter(const std::vector<GkRow>& rows,
-                                    const OrdinalPair* pairs, size_t n,
-                                    BatchFilterScratch* scratch) const {
-  // Float bounds vs. the kernel's double arithmetic: every upper bound
-  // below is >= the kernel's exact value in real arithmetic, and the
-  // float evaluation of sums/ratios over [0,1] values is accurate to well
-  // under this margin — so `upper bound < threshold - kMargin` implies
-  // the kernel's combined similarity is strictly below the threshold.
-  constexpr float kMargin = 1e-5f;
-
-  const ClassifierConfig& cls = config_.classifier;
-  BatchFilterScratch& s = *scratch;
-  s.d.resize(n);
-  s.m.resize(n);
-  s.w.resize(n);
-  s.od_acc.assign(n, 0.0f);
-  s.od_wsum.assign(n, 0.0f);
-  s.screen.resize(n);
-  s.reject.resize(n);
-
-  const size_t num_rows = rows.size();
-  const bool desc_possible = config_.use_descendants &&
-                             !child_cluster_sets_.empty() &&
-                             cls.mode != CombineMode::kOdOnly;
-
-  // --- Per-ordinal columns, built once per row table. ------------------
-  // The screens only ever read a handful of small row fields; gathering
-  // them into flat arrays up front means the per-pair sweeps below index
-  // cache-resident columns instead of chasing GkRow -> std::string
-  // pointers for every pair of every batch.
-  if (s.rows_built != static_cast<const void*>(rows.data()) ||
-      s.num_rows != num_rows) {
-    s.rows_built = rows.data();
-    s.num_rows = num_rows;
-    const size_t nc = config_.od.size();
-    s.col_id.resize(nc * num_rows);
-    s.col_len.resize(nc * num_rows);
-    s.col_fl.resize(nc * num_rows);
-    s.col_empty.resize(nc * num_rows);
-    for (size_t i = 0; i < nc; ++i) {
-      for (size_t r = 0; r < num_rows; ++r) {
-        const size_t at = i * num_rows + r;
-        const OdRef ref = rows[r].norm_ods[i];
-        s.col_id[at] = ref.id;
-        s.col_len[at] = ref.length;
-        uint16_t fl = 0;
-        if (ref.length >= 2) {
-          std::string_view v = od_pool_->View(ref);
-          fl = static_cast<uint16_t>(
-              (static_cast<uint8_t>(v.front()) << 8) |
-              static_cast<uint8_t>(v.back()));
-        }
-        s.col_fl[at] = fl;
-        s.col_empty[at] = rows[r].ods[i].empty() ? 1 : 0;
-      }
-    }
-    if (desc_possible) {
-      s.col_desc_size.assign(child_cluster_sets_.size() * num_rows, 0);
-      for (size_t slot = 0; slot < child_cluster_sets_.size(); ++slot) {
-        if (child_cluster_sets_[slot] == nullptr) continue;
-        const auto& cids = desc_cids_[slot];
-        for (size_t r = 0; r < num_rows; ++r) {
-          s.col_desc_size[slot * num_rows + r] =
-              static_cast<uint32_t>(cids[rows[r].ordinal].size());
-        }
-      }
-    }
-  }
-
-  // --- OD upper bound: one SoA sweep per component. --------------------
-  for (size_t i = 0; i < config_.od.size(); ++i) {
-    const float relevance = static_cast<float>(config_.od[i].relevance);
-    const bool edit = od_is_norm_edit_[i];
-    const uint32_t* ids = s.col_id.data() + i * num_rows;
-    const uint32_t* lens = s.col_len.data() + i * num_rows;
-    const uint16_t* fls = s.col_fl.data() + i * num_rows;
-    const uint8_t* empties = s.col_empty.data() + i * num_rows;
-    for (size_t p = 0; p < n; ++p) {
-      const size_t ia = pairs[p].first;
-      const size_t ib = pairs[p].second;
-      // Zero-weight slots park at (0, 1, 0): they contribute nothing.
-      float d = 0.0f, m = 1.0f, w = 0.0f;
-      if (!(empties[ia] && empties[ib])) {
-        w = relevance;
-        if (edit) {
-          if (ids[ia] != ids[ib]) {
-            // Sound lower bounds on the edit distance of two *distinct*
-            // interned values: the length difference; 1 (distinct ids
-            // mean distinct bytes); and 2 when both the first and last
-            // bytes differ and both sides have >= 2 characters (a single
-            // edit leaves the first or the last character intact).
-            const uint32_t la = lens[ia], lb = lens[ib];
-            uint32_t lower = la > lb ? la - lb : lb - la;
-            if (lower == 0) lower = 1;
-            if (lower < 2 && la >= 2 && lb >= 2) {
-              const uint16_t fa = fls[ia], fb = fls[ib];
-              if ((fa >> 8) != (fb >> 8) && (fa & 0xffu) != (fb & 0xffu)) {
-                lower = 2;
-              }
-            }
-            d = static_cast<float>(lower);
-            m = static_cast<float>(la > lb ? la : lb);
-          }
-          // Equal ids: distance 0, upper bound 1.0 (exact).
-        }
-        // Non-edit φ functions: no cheap bound, upper bound 1.0.
-      }
-      s.d[p] = d;
-      s.m[p] = m;
-      s.w[p] = w;
-    }
-    util::simd::AccumulateWeightedBound(n, s.d.data(), s.m.data(), s.w.data(),
-                                        s.od_acc.data(), s.od_wsum.data());
-  }
-  // Collapse to the weighted upper bound; no comparable component means
-  // the kernel scores the OD exactly 0.0.
-  for (size_t p = 0; p < n; ++p) {
-    s.od_acc[p] = s.od_wsum[p] > 0.0f ? s.od_acc[p] / s.od_wsum[p] : 0.0f;
-  }
-
-  // --- Descendant upper bound: Jaccard can reach at most min/max of the
-  // two sorted-unique cluster-id set sizes. One sweep per child slot. ---
-  if (desc_possible) {
-    s.desc_acc.assign(n, 0.0f);
-    s.desc_wsum.assign(n, 0.0f);
-    for (size_t slot = 0; slot < child_cluster_sets_.size(); ++slot) {
-      if (child_cluster_sets_[slot] == nullptr) continue;
-      const uint32_t* sizes = s.col_desc_size.data() + slot * num_rows;
-      for (size_t p = 0; p < n; ++p) {
-        const size_t sa = sizes[pairs[p].first];
-        const size_t sb = sizes[pairs[p].second];
-        float d = 0.0f, m = 1.0f, w = 0.0f;
-        if (sa != 0 || sb != 0) {
-          w = 1.0f;  // slots aggregate by unweighted average
-          const size_t mx = sa > sb ? sa : sb;
-          const size_t mn = sa + sb - mx;
-          d = static_cast<float>(mx - mn);  // 1 - (mx-mn)/mx == mn/mx
-          m = static_cast<float>(mx);
-        }
-        s.d[p] = d;
-        s.m[p] = m;
-        s.w[p] = w;
-      }
-      util::simd::AccumulateWeightedBound(n, s.d.data(), s.m.data(),
-                                          s.w.data(), s.desc_acc.data(),
-                                          s.desc_wsum.data());
-    }
-  }
-
-  // --- Combine per mode into `screen` = upper bound - threshold, then
-  // one vectorized compare against -kMargin. ----------------------------
-  const float t = static_cast<float>(cls.od_threshold);
-  const float dt = static_cast<float>(cls.desc_threshold);
-  for (size_t p = 0; p < n; ++p) {
-    const float od_ub = s.od_acc[p];
-    float value = od_ub - t;
-    if (desc_possible && s.desc_wsum[p] > 0.0f) {
-      const float desc_ub = s.desc_acc[p] / s.desc_wsum[p];
-      switch (cls.mode) {
-        case CombineMode::kOdOnly:
-          break;  // unreachable: desc_possible excludes kOdOnly
-        case CombineMode::kAverage:
-          value = 0.5f * (od_ub + desc_ub) - t;
-          break;
-        case CombineMode::kWeighted: {
-          const float w = static_cast<float>(cls.od_weight);
-          value = w * od_ub + (1.0f - w) * desc_ub - t;
-          break;
-        }
-        case CombineMode::kDescBoost: {
-          const float boosted = desc_ub >= dt - kMargin ? 1.0f : desc_ub;
-          value = 0.5f * (od_ub + boosted) - t;
-          break;
-        }
-        case CombineMode::kDescGate:
-          // Both gates must hold; the smaller slack decides the screen.
-          value = std::min(od_ub - t, desc_ub - dt);
-          break;
-      }
-    }
-    // Without comparable descendants the kernel falls back to the plain
-    // OD threshold, which `value` already encodes.
-    s.screen[p] = value;
-  }
-  util::simd::LessThanMask(n, s.screen.data(), -kMargin, s.reject.data());
 }
 
 obs::PairExplain SimilarityMeasure::Explain(const GkRow& a,

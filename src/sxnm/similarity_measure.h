@@ -46,35 +46,6 @@ struct SimilarityVerdict {
                                     // ID equality, no bytes touched
 };
 
-/// Reusable struct-of-arrays buffers for SimilarityMeasure::BatchFilter.
-/// One instance per window pass (buffers grow to the batch size once and
-/// are reused across flushes); `reject` holds the screen's output.
-struct BatchFilterScratch {
-  // Per-component gather: lower-bound distance, maximum length, weight.
-  std::vector<float> d, m, w;
-  // Weighted upper-bound accumulation (OD components / descendant slots).
-  std::vector<float> od_acc, od_wsum;
-  std::vector<float> desc_acc, desc_wsum;
-  // Final screen value per pair (combined upper bound minus threshold).
-  std::vector<float> screen;
-  // reject[i] == 1: pair i is provably below the classifier threshold.
-  std::vector<uint8_t> reject;
-
-  // Per-ordinal columns of the row fields the screens read, built once
-  // per pass (`rows_built` keys the cache): the per-pair sweeps then
-  // index a few flat arrays instead of chasing GkRow -> std::string
-  // pointers for every pair. Layout per OD component i, ordinal o at
-  // `i * num_rows + o`: interned id, interned length, first/last byte
-  // (packed, first << 8 | last), and whether the raw OD was empty.
-  const void* rows_built = nullptr;
-  size_t num_rows = 0;
-  std::vector<uint32_t> col_id, col_len;
-  std::vector<uint16_t> col_fl;
-  std::vector<uint8_t> col_empty;
-  // Descendant slot sizes, same layout (slot * num_rows + ordinal).
-  std::vector<uint32_t> col_desc_size;
-};
-
 /// Compares instances of one candidate. Descendant information is
 /// optional: pass the child cluster sets produced earlier in the
 /// bottom-up order (parallel to `instances.child_types`); pass an empty
@@ -128,24 +99,6 @@ class SimilarityMeasure {
   /// (CandidateConfig::enable_fast_paths) or rows lack precomputed
   /// normalized ODs.
   SimilarityVerdict CompareFast(const GkRow& a, const GkRow& b) const;
-
-  /// True when the batched SoA pre-filter may screen pairs of `rows`:
-  /// the candidate has batch_scoring (and thus fast paths) on, no
-  /// equational theory, an OD pool, and every row carries interned
-  /// normalized ODs. Checked once per candidate by the detector.
-  bool BatchFilterEligible(const std::vector<GkRow>& rows) const;
-
-  /// Batched upper-bound screen over `n` pending window pairs (ordinal
-  /// pairs into `rows`). Gathers lengths, interned ids, first/last bytes
-  /// and descendant-set sizes into `scratch`'s SoA buffers, computes
-  /// vectorized per-pair upper bounds of the combined similarity
-  /// (util/simd.h), and sets scratch->reject[i] = 1 exactly when pair i
-  /// is *provably* below the classifier threshold — CompareFast would
-  /// return is_duplicate == false. Sound but incomplete: reject[i] == 0
-  /// says nothing, the pair still needs the kernel. Requires
-  /// BatchFilterEligible(rows).
-  void BatchFilter(const std::vector<GkRow>& rows, const OrdinalPair* pairs,
-                   size_t n, BatchFilterScratch* scratch) const;
 
   /// Full decision breakdown for the explain log: exact per-component
   /// similarities (values, interned refs, edit distances), per-child-slot

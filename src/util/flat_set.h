@@ -8,7 +8,7 @@
 // insert is one hash, one probe chain in contiguous memory, and no
 // allocation. Key 0 is reserved as the empty-slot sentinel; the
 // detector's packed pairs (lo << 32 | hi with lo < hi, so hi >= 1) are
-// never 0, matching the VerdictCache convention.
+// never 0.
 //
 // Not thread-safe; single-writer like the merge itself.
 

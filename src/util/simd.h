@@ -1,150 +1,21 @@
-// Portable SIMD primitives for the batched sliding-window pre-filters
-// (sxnm/similarity_measure.cc). The filters work on struct-of-arrays
-// float buffers — per-pair lower-bound distances, maximum lengths, and
-// component weights — and these kernels do the bulk arithmetic:
-//
-//   AccumulateWeightedBound   acc += w * (1 - d/m), wsum += w
-//   LessThanMask              out  = x < threshold
-//
-// Backend selection is compile-time: SSE2 on x86-64, NEON on AArch64,
-// and a plain scalar loop elsewhere. Like SXNM_NATIVE_ARCH, the choice
-// is a build knob: configuring with -DSXNM_SIMD=OFF (which defines
-// SXNM_DISABLE_SIMD) forces the scalar backend everywhere, e.g. to
-// bisect a suspected vectorization difference. The *Scalar variants are
-// always available as the reference implementations the differential
-// tests compare the active backend against.
-//
-// All kernels are element-wise with no cross-lane reductions, so scalar
-// and vector backends agree to the last ulp on IEEE hardware (loads are
-// unaligned; tails run the scalar loop).
+// Name of the vector instruction set the build targets, recorded in
+// benchmark reports so a measurement says what hardware path it ran on.
+// The engine itself has no hand-written SIMD kernels; the name describes
+// what the compiler may auto-vectorize for.
 
 #ifndef SXNM_UTIL_SIMD_H_
 #define SXNM_UTIL_SIMD_H_
 
-#include <cstddef>
-#include <cstdint>
-
-#if !defined(SXNM_DISABLE_SIMD) && (defined(__SSE2__) || \
-    (defined(_M_X64) && !defined(_M_ARM64EC)))
-#define SXNM_SIMD_SSE2 1
-#include <emmintrin.h>
-#elif !defined(SXNM_DISABLE_SIMD) && defined(__ARM_NEON)
-#define SXNM_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
-
 namespace sxnm::util::simd {
 
-/// Name of the active backend: "sse2", "neon", or "scalar". Reported by
-/// micro_similarity's `filters` section so bench JSON records what was
-/// measured.
+/// "sse2", "neon", or "scalar".
 inline const char* BackendName() {
-#if defined(SXNM_SIMD_SSE2)
+#if defined(__SSE2__)
   return "sse2";
-#elif defined(SXNM_SIMD_NEON)
+#elif defined(__ARM_NEON)
   return "neon";
 #else
   return "scalar";
-#endif
-}
-
-/// Reference implementation of AccumulateWeightedBound: for every i,
-///   acc[i]  += w[i] * (1 - d[i] / m[i])
-///   wsum[i] += w[i]
-/// `m[i]` must be positive for all i — callers park zero-weight slots at
-/// (d, m, w) = (0, 1, 0), which contributes exactly nothing.
-inline void AccumulateWeightedBoundScalar(size_t n, const float* d,
-                                          const float* m, const float* w,
-                                          float* acc, float* wsum) {
-  for (size_t i = 0; i < n; ++i) {
-    acc[i] += w[i] * (1.0f - d[i] / m[i]);
-    wsum[i] += w[i];
-  }
-}
-
-/// Reference implementation of LessThanMask: out[i] = x[i] < threshold.
-inline void LessThanMaskScalar(size_t n, const float* x, float threshold,
-                               uint8_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = x[i] < threshold ? 1 : 0;
-  }
-}
-
-/// acc[i] += w[i] * (1 - d[i]/m[i]); wsum[i] += w[i]. See the scalar
-/// reference for the contract.
-inline void AccumulateWeightedBound(size_t n, const float* d, const float* m,
-                                    const float* w, float* acc, float* wsum) {
-#if defined(SXNM_SIMD_SSE2)
-  const __m128 ones = _mm_set1_ps(1.0f);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m128 vd = _mm_loadu_ps(d + i);
-    __m128 vm = _mm_loadu_ps(m + i);
-    __m128 vw = _mm_loadu_ps(w + i);
-    __m128 bound = _mm_sub_ps(ones, _mm_div_ps(vd, vm));
-    __m128 vacc = _mm_loadu_ps(acc + i);
-    _mm_storeu_ps(acc + i, _mm_add_ps(vacc, _mm_mul_ps(vw, bound)));
-    __m128 vws = _mm_loadu_ps(wsum + i);
-    _mm_storeu_ps(wsum + i, _mm_add_ps(vws, vw));
-  }
-  AccumulateWeightedBoundScalar(n - i, d + i, m + i, w + i, acc + i,
-                                wsum + i);
-#elif defined(SXNM_SIMD_NEON)
-  const float32x4_t ones = vdupq_n_f32(1.0f);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    float32x4_t vd = vld1q_f32(d + i);
-    float32x4_t vm = vld1q_f32(m + i);
-    float32x4_t vw = vld1q_f32(w + i);
-    float32x4_t bound = vsubq_f32(ones, vdivq_f32(vd, vm));
-    float32x4_t vacc = vld1q_f32(acc + i);
-    vst1q_f32(acc + i, vmlaq_f32(vacc, vw, bound));
-    float32x4_t vws = vld1q_f32(wsum + i);
-    vst1q_f32(wsum + i, vaddq_f32(vws, vw));
-  }
-  AccumulateWeightedBoundScalar(n - i, d + i, m + i, w + i, acc + i,
-                                wsum + i);
-#else
-  AccumulateWeightedBoundScalar(n, d, m, w, acc, wsum);
-#endif
-}
-
-/// out[i] = x[i] < threshold ? 1 : 0.
-inline void LessThanMask(size_t n, const float* x, float threshold,
-                         uint8_t* out) {
-#if defined(SXNM_SIMD_SSE2)
-  const __m128 vt = _mm_set1_ps(threshold);
-  const __m128 ones = _mm_set1_ps(1.0f);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m128 mask = _mm_cmplt_ps(_mm_loadu_ps(x + i), vt);
-    // 0/1 floats -> 0/1 int32 -> pack the low bytes by hand (SSE2 has no
-    // narrowing store; four scalar stores of a 0/1 int are cheap enough).
-    __m128i bits = _mm_cvttps_epi32(_mm_and_ps(mask, ones));
-    alignas(16) int32_t lanes[4];
-    _mm_store_si128(reinterpret_cast<__m128i*>(lanes), bits);
-    out[i + 0] = static_cast<uint8_t>(lanes[0]);
-    out[i + 1] = static_cast<uint8_t>(lanes[1]);
-    out[i + 2] = static_cast<uint8_t>(lanes[2]);
-    out[i + 3] = static_cast<uint8_t>(lanes[3]);
-  }
-  LessThanMaskScalar(n - i, x + i, threshold, out + i);
-#elif defined(SXNM_SIMD_NEON)
-  const float32x4_t vt = vdupq_n_f32(threshold);
-  const uint32x4_t ones = vdupq_n_u32(1);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    uint32x4_t mask = vandq_u32(vcltq_f32(vld1q_f32(x + i), vt), ones);
-    uint16x4_t half = vmovn_u32(mask);
-    uint8x8_t bytes = vmovn_u16(vcombine_u16(half, half));
-    out[i + 0] = vget_lane_u8(bytes, 0);
-    out[i + 1] = vget_lane_u8(bytes, 1);
-    out[i + 2] = vget_lane_u8(bytes, 2);
-    out[i + 3] = vget_lane_u8(bytes, 3);
-  }
-  LessThanMaskScalar(n - i, x + i, threshold, out + i);
-#else
-  LessThanMaskScalar(n, x, threshold, out);
 #endif
 }
 

@@ -101,11 +101,12 @@ class CrashResumeTest : public ::testing::Test {
   void TearDown() override { util::FaultInjector::Instance().DisarmAll(); }
 };
 
+// `fast_paths` false runs the plain (unpruned, exact) comparison kernels.
 void RunCrashMatrixCell(const KillPoint& kill, size_t num_threads,
-                        bool dag_and_batch) {
+                        bool fast_paths) {
   std::string tag = std::string(kill.name) + "_t" +
                     std::to_string(num_threads) +
-                    (dag_and_batch ? "_dag" : "_plain");
+                    (fast_paths ? "_fast" : "_plain");
   SCOPED_TRACE(tag);
 
   auto config_or = datagen::MovieScalabilityConfig(/*window=*/5);
@@ -113,8 +114,7 @@ void RunCrashMatrixCell(const KillPoint& kill, size_t num_threads,
   Config config = config_or.value();
   config.set_num_threads(num_threads);
   for (CandidateConfig& cand : config.mutable_candidates()) {
-    cand.dag_compression = dag_and_batch;
-    cand.batch_scoring = dag_and_batch;
+    cand.enable_fast_paths = fast_paths;
   }
   xml::Document doc = DirtyMovies(80, 31, 4);
 
@@ -171,25 +171,25 @@ void RunCrashMatrixCell(const KillPoint& kill, size_t num_threads,
 
 TEST_F(CrashResumeTest, KillMatrixSerial) {
   for (const KillPoint& kill : kKillPoints) {
-    RunCrashMatrixCell(kill, /*num_threads=*/1, /*dag_and_batch=*/true);
+    RunCrashMatrixCell(kill, /*num_threads=*/1, /*fast_paths=*/true);
   }
 }
 
 TEST_F(CrashResumeTest, KillMatrixParallel) {
   for (const KillPoint& kill : kKillPoints) {
-    RunCrashMatrixCell(kill, /*num_threads=*/4, /*dag_and_batch=*/true);
+    RunCrashMatrixCell(kill, /*num_threads=*/4, /*fast_paths=*/true);
   }
 }
 
 TEST_F(CrashResumeTest, KillMatrixSerialPlainKernels) {
   for (const KillPoint& kill : kKillPoints) {
-    RunCrashMatrixCell(kill, /*num_threads=*/1, /*dag_and_batch=*/false);
+    RunCrashMatrixCell(kill, /*num_threads=*/1, /*fast_paths=*/false);
   }
 }
 
 TEST_F(CrashResumeTest, KillMatrixParallelPlainKernels) {
   for (const KillPoint& kill : kKillPoints) {
-    RunCrashMatrixCell(kill, /*num_threads=*/4, /*dag_and_batch=*/false);
+    RunCrashMatrixCell(kill, /*num_threads=*/4, /*fast_paths=*/false);
   }
 }
 

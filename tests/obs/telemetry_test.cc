@@ -252,7 +252,7 @@ TEST(TelemetryTest, DeriveProgressDonePhaseIsComplete) {
 TEST(TelemetryTest, SampleWriteJsonIsOneWellFormedLine) {
   MetricsRegistry registry(true);
   registry.counter("sw.comparisons").Add(3);
-  registry.gauge("cache.verdict_occupancy").Set(0.5);
+  registry.gauge("kg.rows_total").Set(0.5);
   TelemetrySample sample;
   sample.seq = 2;
   sample.t_ms = 123.0;
@@ -268,7 +268,7 @@ TEST(TelemetryTest, SampleWriteJsonIsOneWellFormedLine) {
   EXPECT_NE(line.find("\"phase_name\": \"sliding_window\""),
             std::string::npos);
   EXPECT_NE(line.find("\"sw.comparisons\": 3"), std::string::npos);
-  EXPECT_NE(line.find("\"cache.verdict_occupancy\": 0.5"), std::string::npos);
+  EXPECT_NE(line.find("\"kg.rows_total\": 0.5"), std::string::npos);
 }
 
 TEST(TelemetryTest, SampleWriteJsonCarriesCpuFields) {

@@ -99,6 +99,16 @@ TEST(CheckpointFingerprintTest, DocumentFingerprintSeesStructureAndText) {
   EXPECT_NE(DocumentFingerprint(nest.value()), base);
 }
 
+// Magic plus the current format version: what a torn or corrupt snapshot
+// written by this build starts with.
+std::string CurrentSnapshotHeader() {
+  std::string header(persist::kSnapshotMagic, sizeof(persist::kSnapshotMagic));
+  for (int i = 0; i < 4; ++i) {
+    header.push_back(static_cast<char>(persist::kSnapshotVersion >> (8 * i)));
+  }
+  return header;
+}
+
 // --- Frame codec round-trips ----------------------------------------------
 
 TEST(CheckpointCodecTest, CursorRoundTrips) {
@@ -106,8 +116,6 @@ TEST(CheckpointCodecTest, CursorRoundTrips) {
   cursor.levels_completed = 3;
   cursor.budget_spent = 12345;
   cursor.budget_exhausted = true;
-  cursor.verdict_occupied_total = 17;
-  cursor.verdict_capacity_total = 256;
   cursor.kg_seconds = 0.5;
   cursor.sw_seconds = 1.25;
   cursor.tc_seconds = 0.0625;
@@ -119,8 +127,6 @@ TEST(CheckpointCodecTest, CursorRoundTrips) {
   EXPECT_EQ(decoded->levels_completed, 3u);
   EXPECT_EQ(decoded->budget_spent, 12345u);
   EXPECT_TRUE(decoded->budget_exhausted);
-  EXPECT_EQ(decoded->verdict_occupied_total, 17u);
-  EXPECT_EQ(decoded->verdict_capacity_total, 256u);
   EXPECT_EQ(decoded->kg_seconds, 0.5);
   EXPECT_EQ(decoded->sw_seconds, 1.25);
   EXPECT_EQ(decoded->tc_seconds, 0.0625);
@@ -138,12 +144,10 @@ TEST(CheckpointCodecTest, GkTableRoundTripsRowsAndPool) {
   row.keys = {"MTRX1999", "1999MTRX"};
   row.ods = {"Matrix", "1999"};
   row.norm_ods = {matrix, year};
-  row.subtree.id = 7;
   table.rows.push_back(row);
   GkRow second = row;
   second.ordinal = 1;
   second.eid = 43;
-  second.subtree = SubtreeRef{};  // invalid id must round-trip as invalid
   table.rows.push_back(second);
 
   persist::Encoder enc;
@@ -158,8 +162,7 @@ TEST(CheckpointCodecTest, GkTableRoundTripsRowsAndPool) {
   EXPECT_EQ(got.rows[0].keys, row.keys);
   EXPECT_EQ(got.rows[0].ods, row.ods);
   EXPECT_EQ(got.rows[0].eid, 42);
-  EXPECT_EQ(got.rows[0].subtree.id, 7u);
-  EXPECT_FALSE(got.rows[1].subtree.valid());
+  EXPECT_EQ(got.rows[1].eid, 43);
   // The rebuilt pool resolves the references to the same bytes and keeps
   // interning: re-interning an existing value returns its old id.
   EXPECT_EQ(got.od_pool.View(got.rows[0].norm_ods[0]), "matrix");
@@ -264,23 +267,28 @@ TEST(CheckpointCodecTest, DegradationRoundTrips) {
   EXPECT_EQ(decoded->passes[0].pairs_elided, 603u);
 }
 
-TEST(CheckpointCodecTest, VerdictEntriesRoundTripAndRejectSentinel) {
-  std::vector<std::pair<uint64_t, bool>> entries = {
-      {3, true}, {9, false}, {77, true}};
-  persist::Encoder enc;
-  EncodeVerdictEntries(entries, enc);
-  auto decoded = DecodeVerdictEntries(enc.bytes());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, entries);
-
-  persist::Encoder bad;
-  EncodeVerdictEntries({{0, true}}, bad);  // key 0 is the empty-slot sentinel
-  auto rejected = DecodeVerdictEntries(bad.bytes());
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kDataLoss);
-}
-
 // --- Whole-snapshot save/load ---------------------------------------------
+
+// A genuine snapshot written by the version-1 format (it carries the
+// retired verdict-cache frame and the wider cursor and PassStats
+// payloads): the version-2 reader refuses it up front as unusable, not
+// corrupt, before any frame payload is decoded.
+TEST(EngineSnapshotTest, Version1SnapshotIsRefused) {
+  const std::string path = std::string(SXNM_TEST_DATA_DIR) +
+                           "/../../fuzz/corpus/snapshot/v1_cursor.snap";
+  auto bytes = persist::ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  ASSERT_EQ(bytes->compare(0, 8, "SXNMSNAP"), 0);
+  ASSERT_EQ(static_cast<uint8_t>((*bytes)[8]), 1u) << "fixture is version 1";
+
+  auto reader = persist::SnapshotReader::Parse(*bytes);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kFailedPrecondition);
+
+  auto loaded = LoadEngineSnapshot(path, CheckpointFingerprint{});
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
+}
 
 TEST(EngineSnapshotTest, LoadRefusalMatrix) {
   auto config = datagen::MovieConfig(/*window=*/6);
@@ -331,7 +339,7 @@ TEST(EngineSnapshotTest, LoadRefusalMatrix) {
   // stream behind them is garbage.
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    const std::string junk("SXNMSNAP\x01\x00\x00\x00garbage frames", 26);
+    const std::string junk = CurrentSnapshotHeader() + "garbage frames";
     out.write(junk.data(), static_cast<std::streamsize>(junk.size()));
   }
   auto corrupt = LoadEngineSnapshot(path, fp);
@@ -498,13 +506,12 @@ TEST_F(CheckpointDetectorTest, ResumeAcrossThreadCountsIsIdentical) {
 }
 
 TEST_F(CheckpointDetectorTest, ResumeWithKernelVariants) {
-  // dag/batch off exercises the no-subtree-pool, no-SoA resume paths.
+  // Fast paths off exercises resume under the plain exact kernels.
   auto config = datagen::MovieScalabilityConfig(/*window=*/5);
   ASSERT_TRUE(config.ok());
   Config plain = config.value();
   for (CandidateConfig& cand : plain.mutable_candidates()) {
-    cand.dag_compression = false;
-    cand.batch_scoring = false;
+    cand.enable_fast_paths = false;
   }
   RunInterruptResumeCase(plain, DirtyMovies(120, 23, 9), "plain_kernels");
 }
@@ -536,7 +543,7 @@ TEST_F(CheckpointDetectorTest, CorruptSnapshotFailsRunWithDataLoss) {
   std::string ckpt = TempPath("corrupt_run.ckpt");
   {
     std::ofstream out(ckpt, std::ios::binary | std::ios::trunc);
-    std::string torn("SXNMSNAP\x01\x00\x00\x00 torn tail", 22);
+    std::string torn = CurrentSnapshotHeader() + " torn tail";
     out.write(torn.data(), static_cast<std::streamsize>(torn.size()));
   }
   Config run_config = config.value();

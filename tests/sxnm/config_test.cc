@@ -200,38 +200,6 @@ TEST(ConfigValidateTest, SharedAbsolutePathFails) {
   EXPECT_FALSE(config.Validate().ok());
 }
 
-TEST(ConfigValidateTest, BatchScoringWithoutFastPathsFails) {
-  auto cand = CandidateBuilder("x", "a/b").Path(1, "t/text()")
-                  .Od(1, 1.0).Key({{1, "C1"}}).Build();
-  ASSERT_TRUE(cand.ok());
-  CandidateConfig c = std::move(cand).value();
-  c.enable_fast_paths = false;
-  c.batch_scoring = true;  // the SoA screen mirrors the bounded kernel
-  Config config;
-  ASSERT_TRUE(config.AddCandidate(std::move(c)).ok());
-  EXPECT_FALSE(config.Validate().ok());
-}
-
-TEST(ConfigValidateTest, FastPathsOffBuilderClearsBatchScoring) {
-  auto cand = CandidateBuilder("x", "a/b").Path(1, "t/text()")
-                  .Od(1, 1.0).Key({{1, "C1"}}).FastPaths(false).Build();
-  ASSERT_TRUE(cand.ok());
-  EXPECT_FALSE(cand->batch_scoring);
-  EXPECT_TRUE(cand->dag_compression)
-      << "the DAG shortcut is exact and independent of the fast paths";
-  Config config;
-  ASSERT_TRUE(config.AddCandidate(std::move(cand).value()).ok());
-  EXPECT_TRUE(config.Validate().ok());
-}
-
-TEST(ConfigValidateTest, DagAndBatchScoringDefaultOn) {
-  auto cand = CandidateBuilder("x", "a/b").Path(1, "t/text()")
-                  .Od(1, 1.0).Key({{1, "C1"}}).Build();
-  ASSERT_TRUE(cand.ok());
-  EXPECT_TRUE(cand->dag_compression);
-  EXPECT_TRUE(cand->batch_scoring);
-}
-
 TEST(CombineModeTest, NamesRoundTrip) {
   for (CombineMode mode :
        {CombineMode::kOdOnly, CombineMode::kAverage, CombineMode::kWeighted,

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace sxnm::core {
 namespace {
 
@@ -280,12 +283,12 @@ TEST(ConfigXmlTest, DefaultsApplied) {
   EXPECT_TRUE(m->use_descendants);
   EXPECT_DOUBLE_EQ(m->od[0].relevance, 1.0);
   EXPECT_EQ(m->od[0].similarity_name, "edit");
-  EXPECT_TRUE(m->dag_compression) << "dag defaults on";
-  EXPECT_TRUE(m->batch_scoring) << "batch-scoring default follows fast-paths";
 }
 
-// The dag / batch-scoring candidate attributes (see docs/CONFIG.md):
-// parse, defaulting, and the coupling to fast-paths.
+// The dag / batch-scoring candidate attributes switched comparison
+// shortcuts that no longer exist (see docs/CONFIG.md): old configs that
+// carry them still load, the values are ignored, and each attribute
+// yields one deprecation warning per document.
 std::string DagCandidateXml(const std::string& attrs) {
   return R"xml(
 <sxnm-config>
@@ -301,53 +304,68 @@ std::string DagCandidateXml(const std::string& attrs) {
 TEST(ConfigXmlTest, DagAndBatchScoringAttributesParse) {
   struct Case {
     const char* attrs;
-    bool dag;
-    bool batch;
+    size_t warnings;
   };
   const Case cases[] = {
-      {"", true, true},
-      {"dag=\"false\"", false, true},
-      {"batch-scoring=\"false\"", true, false},
-      {"dag=\"false\" batch-scoring=\"false\"", false, false},
-      // Turning fast paths off drops the batch default with it; the DAG
-      // shortcut is independent of the fast paths.
-      {"fast-paths=\"false\"", true, false},
-      {"fast-paths=\"false\" dag=\"false\"", false, false},
+      {"", 0},
+      {"dag=\"false\"", 1},
+      {"batch-scoring=\"false\"", 1},
+      {"dag=\"true\" batch-scoring=\"false\"", 2},
+      // Once rejected by validation (the pre-filter needed the fast
+      // paths); with the attribute ignored there is nothing to conflict.
+      {"fast-paths=\"false\" batch-scoring=\"true\"", 1},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.attrs);
-    auto config = ConfigFromXmlString(DagCandidateXml(c.attrs));
+    std::vector<std::string> warnings;
+    auto config = ConfigFromXmlString(DagCandidateXml(c.attrs), &warnings);
     ASSERT_TRUE(config.ok()) << config.status().ToString();
-    const CandidateConfig* m = config->Find("m");
-    EXPECT_EQ(m->dag_compression, c.dag);
-    EXPECT_EQ(m->batch_scoring, c.batch);
+    EXPECT_EQ(warnings.size(), c.warnings);
+    for (const std::string& warning : warnings) {
+      EXPECT_NE(warning.find("deprecated"), std::string::npos) << warning;
+    }
   }
+  // Without a warnings sink the attributes are ignored just the same.
+  EXPECT_TRUE(ConfigFromXmlString(DagCandidateXml("dag=\"false\"")).ok());
 }
 
 TEST(ConfigXmlTest, DagAndBatchScoringRoundTripThroughXml) {
-  for (const char* attrs :
-       {"", "dag=\"false\"", "batch-scoring=\"false\"",
-        "dag=\"false\" batch-scoring=\"false\"", "fast-paths=\"false\""}) {
-    SCOPED_TRACE(attrs);
-    auto original = ConfigFromXmlString(DagCandidateXml(attrs));
-    ASSERT_TRUE(original.ok()) << original.status().ToString();
-    auto reparsed = ConfigFromXmlString(ConfigToXmlString(original.value()));
-    ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
-    const CandidateConfig* a = original->Find("m");
-    const CandidateConfig* b = reparsed->Find("m");
-    EXPECT_EQ(a->enable_fast_paths, b->enable_fast_paths);
-    EXPECT_EQ(a->dag_compression, b->dag_compression);
-    EXPECT_EQ(a->batch_scoring, b->batch_scoring);
-  }
-}
+  // An old config with both attributes on two candidates: one warning per
+  // attribute, not per occurrence, and the re-serialized form no longer
+  // carries them, so it reloads without warnings to the same config.
+  const std::string old_xml = R"xml(
+<sxnm-config>
+  <candidate name="a" path="db/a" dag="true" batch-scoring="true">
+    <paths><path id="1" rel="t/text()"/></paths>
+    <od><entry pid="1"/></od>
+    <keys><key><part pid="1" pattern="C1"/></key></keys>
+  </candidate>
+  <candidate name="b" path="db/b" dag="false" batch-scoring="false"
+             fast-paths="false">
+    <paths><path id="1" rel="t/text()"/></paths>
+    <od><entry pid="1"/></od>
+    <keys><key><part pid="1" pattern="C1"/></key></keys>
+  </candidate>
+</sxnm-config>)xml";
+  std::vector<std::string> warnings;
+  auto original = ConfigFromXmlString(old_xml, &warnings);
+  ASSERT_TRUE(original.ok()) << original.status().ToString();
+  ASSERT_EQ(warnings.size(), 2u);
+  EXPECT_NE(warnings[0].find("'dag'"), std::string::npos) << warnings[0];
+  EXPECT_NE(warnings[1].find("'batch-scoring'"), std::string::npos)
+      << warnings[1];
 
-TEST(ConfigXmlTest, BatchScoringWithoutFastPathsRejected) {
-  // batch-scoring="true" explicitly contradicts fast-paths="false": the
-  // SoA screen reproduces the bounded kernel's decisions, so it cannot
-  // run against the exact-only kernel (Config::Validate rule).
-  auto config = ConfigFromXmlString(
-      DagCandidateXml("fast-paths=\"false\" batch-scoring=\"true\""));
-  EXPECT_FALSE(config.ok());
+  const std::string serialized = ConfigToXmlString(original.value());
+  EXPECT_EQ(serialized.find("dag="), std::string::npos) << serialized;
+  EXPECT_EQ(serialized.find("batch-scoring="), std::string::npos)
+      << serialized;
+  std::vector<std::string> rewarnings;
+  auto reparsed = ConfigFromXmlString(serialized, &rewarnings);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_TRUE(rewarnings.empty());
+  EXPECT_EQ(ConfigToXmlString(reparsed.value()), serialized);
+  EXPECT_TRUE(reparsed->Find("a")->enable_fast_paths);
+  EXPECT_FALSE(reparsed->Find("b")->enable_fast_paths);
 }
 
 std::string OutOfCoreConfigXml(const std::string& root_attrs) {

@@ -114,10 +114,10 @@ TEST(KeyGenerationTest, PartsConcatenatedInOrderAttribute) {
 TEST(GkTableTest, SortedOrderLexicographic) {
   GkTable table;
   table.num_keys = 1;
-  table.rows = {{0, 0, {"MT99"}, {}, {}, {}},
-                {1, 1, {"AB12"}, {}, {}, {}},
-                {2, 2, {"ZZ"}, {}, {}, {}},
-                {3, 3, {""}, {}, {}, {}}};
+  table.rows = {{0, 0, {"MT99"}, {}, {}},
+                {1, 1, {"AB12"}, {}, {}},
+                {2, 2, {"ZZ"}, {}, {}},
+                {3, 3, {""}, {}, {}}};
   auto order = table.SortedOrder(0);
   EXPECT_EQ(order, (std::vector<size_t>{3, 1, 0, 2}))
       << "empty key sorts first";
@@ -126,9 +126,9 @@ TEST(GkTableTest, SortedOrderLexicographic) {
 TEST(GkTableTest, SortIsStableOnTies) {
   GkTable table;
   table.num_keys = 1;
-  table.rows = {{0, 0, {"X"}, {}, {}, {}},
-                {1, 1, {"X"}, {}, {}, {}},
-                {2, 2, {"A"}, {}, {}, {}}};
+  table.rows = {{0, 0, {"X"}, {}, {}},
+                {1, 1, {"X"}, {}, {}},
+                {2, 2, {"A"}, {}, {}}};
   auto order = table.SortedOrder(0);
   EXPECT_EQ(order, (std::vector<size_t>{2, 0, 1}))
       << "equal keys keep instance order";

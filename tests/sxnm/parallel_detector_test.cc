@@ -7,13 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "datagen/dirty_gen.h"
 #include "datagen/freedb.h"
 #include "datagen/movies.h"
+#include "eval/gold.h"
+#include "eval/metrics.h"
 #include "sxnm/detector.h"
 #include "xml/node.h"
+#include "xml/parser.h"
 
 namespace sxnm::core {
 namespace {
@@ -94,8 +98,6 @@ TEST(ParallelDetectorTest, FastPathsDoNotChangeAcceptedPairs) {
   Config slow_config = config.value();
   for (CandidateConfig& cand : slow_config.mutable_candidates()) {
     cand.enable_fast_paths = false;
-    cand.dag_compression = false;
-    cand.batch_scoring = false;
   }
 
   auto fast = Detector(config.value()).Run(dirty);
@@ -114,8 +116,6 @@ TEST(ParallelDetectorTest, FastPathsOffParallelStillDeterministic) {
   Config base = config.value();
   for (CandidateConfig& cand : base.mutable_candidates()) {
     cand.enable_fast_paths = false;
-    cand.dag_compression = false;
-    cand.batch_scoring = false;
   }
 
   auto serial = Detector(base).Run(dirty);
@@ -161,6 +161,41 @@ TEST(ParallelDetectorTest, RepeatedParallelRunsAgree) {
     ASSERT_TRUE(again.ok());
     ExpectIdenticalResults(first.value(), again.value());
   }
+}
+
+// The checked-in gold-labeled corpus (tests/data/repeated_subtree_movies
+// .xml, generated by GenerateCleanMovies + RepeatedSubtreePreset — see
+// tests/data/README.md), where most duplicates are byte-exact subtree
+// copies: results must be identical at 1 and 4 threads, and must
+// actually find the duplicates the gold labels record.
+TEST(ParallelDetectorTest, RepeatedSubtreeGoldCorpusIdenticalAndAccurate) {
+  const std::string path =
+      std::string(SXNM_TEST_DATA_DIR) + "/repeated_subtree_movies.xml";
+  auto doc = xml::ParseFile(path);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  auto config = datagen::MovieConfig(/*window=*/10);
+  ASSERT_TRUE(config.ok());
+
+  auto serial = Detector(config.value()).Run(doc.value());
+  Config parallel_config = config.value();
+  parallel_config.set_num_threads(4);
+  auto parallel = Detector(parallel_config).Run(doc.value());
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  ExpectIdenticalResults(serial.value(), parallel.value());
+
+  auto gold = eval::GoldClusterSet(doc.value(), "movie_database/movies/movie");
+  ASSERT_TRUE(gold.ok()) << gold.status().ToString();
+  ASSERT_GT(gold->NumDuplicatePairs(), 0u);
+  eval::PairMetrics serial_metrics =
+      eval::PairwiseMetrics(gold.value(), serial->Find("movie")->clusters);
+  eval::PairMetrics parallel_metrics =
+      eval::PairwiseMetrics(gold.value(), parallel->Find("movie")->clusters);
+  EXPECT_EQ(serial_metrics.f1, parallel_metrics.f1);
+  // Loose floors: this guards against pairs silently going missing, not
+  // against tuning drift.
+  EXPECT_GT(parallel_metrics.recall, 0.7) << parallel_metrics.ToString();
+  EXPECT_GT(parallel_metrics.precision, 0.9) << parallel_metrics.ToString();
 }
 
 }  // namespace

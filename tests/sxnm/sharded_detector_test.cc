@@ -66,7 +66,6 @@ void ExpectIdenticalCounters(const DetectionResult& a,
                              const DetectionResult& b) {
   for (const char* name :
        {"sw.pairs_windowed", "sw.comparisons", "sw.hits", "sw.prepass_skips",
-        "sw.verdict_cache_hits", "sw.dag_equal", "sw.batch_rejects",
         "sw.unique_comparisons", "sw.unique_duplicates", "sw.prepass_pairs",
         "kg.rows_done"}) {
     EXPECT_EQ(a.metrics.CounterOr(name, 0), b.metrics.CounterOr(name, 0))

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate bench JSON output against the documented schema.
 
-Checks the schema_version-7 files produced by the benches:
+Checks the schema_version-10 files produced by the benches:
 
   * ``micro_pipeline --json BENCH_pipeline.json`` (the checked-in
     ``BENCH_pipeline.json`` at the repo root),
@@ -50,7 +50,7 @@ violation on stderr). See docs/BENCHMARKS.md for the schema.
 import json
 import sys
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 # Counters the engine always registers (values may legitimately be 0).
 # Version 3 added the kernel fast-path counters: kg.od_pool_* (OD value
@@ -77,7 +77,12 @@ SCHEMA_VERSION = 9
 # bit-identical detection, and the span-attributed sample table whose
 # top self-CPU span must be non-empty); telemetry samples additionally
 # carry cpu_user_pct / cpu_sys_pct / threads; similarity/fig5 files
-# carry the bump only.
+# carry the bump only. Version 10 removed the comparison shortcuts of
+# versions 3 and 5 (cross-pass verdict cache, subtree DAG, batched
+# pre-filter) together with their counters, the cache.verdict_occupancy
+# gauge, the pipeline engines' dag / batch_scoring flags, the
+# serial_dag_batch engine, the pipeline `repeated_subtree` A/B block and
+# the similarity `filters` section.
 REQUIRED_COUNTERS = [
     "kg.rows",
     "kg.rows_done",
@@ -86,8 +91,6 @@ REQUIRED_COUNTERS = [
     "kg.od_normalize_us",
     "kg.od_pool_strings",
     "kg.od_pool_bytes",
-    "kg.subtree_pool_nodes",
-    "kg.subtree_pool_bytes",
     "sw.pairs_windowed",
     "sw.pairs_done",
     "sw.prepass_skips",
@@ -96,10 +99,7 @@ REQUIRED_COUNTERS = [
     "sw.ed_bailouts",
     "sw.desc_jaccard",
     "sw.desc_short_circuits",
-    "sw.verdict_cache_hits",
     "sw.interned_equal",
-    "sw.dag_equal",
-    "sw.batch_rejects",
     "sw.unique_comparisons",
     "sw.unique_duplicates",
     "text.myers_words",
@@ -114,7 +114,6 @@ REQUIRED_GAUGES = [
     "progress.phase",
     "kg.rows_total",
     "sw.pairs_planned_total",
-    "cache.verdict_occupancy",
 ]
 REQUIRED_HISTOGRAMS = ["sw.pass_seconds", "sw.similarity", "tc.cluster_size"]
 HISTOGRAM_FIELDS = ["count", "sum", "p50", "p90", "p99"]
@@ -254,8 +253,6 @@ class Checker:
                 where = f"engines[{i}] ({name})"
             self.check_nonneg(engine, "num_threads", where)
             self.require(engine, "fast_paths", (bool,), where)
-            self.require(engine, "dag", (bool,), where)
-            self.require(engine, "batch_scoring", (bool,), where)
             phases = self.require(engine, "phases", (dict,), where)
             if phases is not None:
                 self.check_phases(phases, f"{where}.phases")
@@ -288,30 +285,6 @@ class Checker:
                         where,
                         "sw.pairs_windowed != sw.comparisons + "
                         f"sw.prepass_skips: {windowed} != {kernel} + {skips}")
-            cache_hits = counters.get("sw.verdict_cache_hits")
-            if all(isinstance(v, int) for v in (cache_hits, kernel, unique)):
-                if cache_hits > kernel:
-                    self.error(where,
-                               "sw.verdict_cache_hits exceed pair "
-                               f"classifications: {cache_hits} > {kernel}")
-                # Every cross-pass repeat is either a cache hit (fast
-                # paths) or a recomputation; in both cases the merge drops
-                # it, so hits can never exceed the repeat count.
-                if cache_hits > kernel - unique:
-                    self.error(where,
-                               "sw.verdict_cache_hits exceed cross-pass "
-                               f"repeats: {cache_hits} > {kernel} - {unique}")
-            dag_equal = counters.get("sw.dag_equal")
-            batch_rejects = counters.get("sw.batch_rejects")
-            if all(isinstance(v, int) for v in
-                   (dag_equal, batch_rejects, cache_hits, kernel)):
-                shortcut = dag_equal + batch_rejects + cache_hits
-                if shortcut > kernel:
-                    self.error(
-                        where,
-                        "shortcut classifications exceed sw.comparisons: "
-                        f"{dag_equal} + {batch_rejects} + {cache_hits} "
-                        f"> {kernel}")
             # Progress-counter closures (version 6): the live-progress
             # counters batch their adds but flush at the same completion
             # points as their post-hoc twins, so on an ungoverned bench
@@ -331,68 +304,9 @@ class Checker:
                        "engines disagree on (comparisons, "
                        f"movie_duplicate_pairs): {sorted(detected)} — "
                        "fast paths / threading must not change detection")
-        self.check_repeated_subtree(doc)
         self.check_telemetry_overhead(doc)
         self.check_checkpoint(doc)
         self.check_profile(doc)
-
-    def check_repeated_subtree(self, doc):
-        """Validate the copy-paste-heavy A/B block (schema version 5).
-
-        The checked-in file must demonstrate the DAG+batching layer's
-        advantage on a corpus where most duplicates are byte-exact
-        subtree copies; the 2x floor is set below the expected ~3-6x so
-        reruns on slower CI machines still validate. Detection must be
-        bit-identical with the layer on and off.
-        """
-        block = self.require(doc, "repeated_subtree", (dict,), "top-level")
-        if block is None:
-            return
-        where = "repeated_subtree"
-        self.require(block, "generator", (str,), where)
-        self.check_nonneg(block, "clean_movies", where)
-        self.check_nonneg(block, "window", where)
-        off_s = self.check_nonneg(block, "sliding_window_off_s", where,
-                                  types=(int, float))
-        on_s = self.check_nonneg(block, "sliding_window_on_s", where,
-                                 types=(int, float))
-        speedup = self.check_nonneg(block, "sliding_window_speedup", where,
-                                    types=(int, float))
-        pairs_off = self.check_nonneg(block, "duplicate_pairs_off", where)
-        pairs_on = self.check_nonneg(block, "duplicate_pairs_on", where)
-        dag_equal = self.check_nonneg(block, "dag_equal", where)
-        self.check_nonneg(block, "batch_rejects", where)
-        pool_nodes = self.check_nonneg(block, "subtree_pool_nodes", where)
-        self.check_nonneg(block, "subtree_pool_bytes", where)
-        if None not in (pairs_off, pairs_on) and pairs_off != pairs_on:
-            self.error(where,
-                       "DAG+batching must not change detection: "
-                       f"duplicate_pairs_off {pairs_off} != "
-                       f"duplicate_pairs_on {pairs_on}")
-        for key, value in (("dag_equal", dag_equal),
-                           ("subtree_pool_nodes", pool_nodes)):
-            if value == 0:
-                self.error(where,
-                           f"'{key}' is 0 — the corpus must actually "
-                           "exercise the subtree pool")
-        if None in (off_s, on_s, speedup) or on_s <= 0:
-            return
-        expected = off_s / on_s
-        if abs(speedup - expected) > 1e-3 * max(expected, 1.0):
-            self.error(where,
-                       f"'sliding_window_speedup' inconsistent: {speedup} "
-                       f"!= {off_s} / {on_s}")
-        # The floor was 2.0 when first recorded (2.63x on the original
-        # measurement host), but the ratio is host-sensitive: machines
-        # with faster scalar kernels leave the shortcuts less to save,
-        # and the same corpus measures ~1.7x there.  1.5x still catches
-        # the failure mode this guards (shortcuts silently disabled or
-        # regressed to ~1x) on every host we have seen.
-        if speedup < 1.5:
-            self.error(where,
-                       "DAG+batching must be at least 1.5x on the "
-                       "repeated-subtree corpus, got "
-                       f"{speedup:.2f}x")
 
     def check_telemetry_overhead(self, doc):
         """Validate the live-telemetry A/B block (schema version 6).
@@ -821,51 +735,6 @@ class Checker:
                            "bit-parallel kernel must be at least 2x the "
                            f"classic DP on {length}-char strings, "
                            f"got {speedup:.2f}x")
-        self.check_filters(doc)
-
-    def check_filters(self, doc):
-        """Validate the batched SoA pre-filter profile (schema version 5).
-
-        Soundness is the load-bearing bit: the bench re-checks every
-        rejected pair against the kernel and must report sound == true —
-        a false here means the vectorized screen rejected a pair the
-        kernel would have accepted.
-        """
-        filters = self.require(doc, "filters", (dict,), "top-level")
-        if filters is None:
-            return
-        backend = self.require(filters, "backend", (str,), "filters")
-        if backend == "":
-            self.error("filters", "backend must name the SIMD backend "
-                                  "(e.g. sse2, neon, scalar)")
-        lengths = self.require(filters, "lengths", (list,), "filters")
-        if lengths is None:
-            return
-        if not lengths:
-            self.error("filters.lengths", "must not be empty")
-            return
-        for i, row in enumerate(lengths):
-            where = f"filters.lengths[{i}]"
-            if not isinstance(row, dict):
-                self.error(where, "must be an object")
-                continue
-            length = self.check_nonneg(row, "length", where)
-            if length is not None:
-                where = f"filters.lengths[{i}] (len {length})"
-            self.check_nonneg(row, "pairs", where)
-            rate = self.require(row, "reject_rate", (int, float), where)
-            if rate is not None and not 0.0 <= rate <= 1.0:
-                self.error(where,
-                           f"reject_rate must be within [0, 1], got {rate}")
-            self.check_nonneg(row, "filter_ns_per_pair", where,
-                              types=(int, float))
-            self.check_nonneg(row, "kernel_ns_per_pair", where,
-                              types=(int, float))
-            sound = self.require(row, "sound", (bool,), where)
-            if sound is False:
-                self.error(where,
-                           "pre-filter rejected a pair the kernel accepts "
-                           "— the SoA screen must be sound")
 
     # --- entry point ------------------------------------------------------
 
@@ -891,8 +760,7 @@ class Checker:
 
 # --- decision-provenance NDJSON (--explain-schema) ------------------------
 
-PROVENANCE_ENUM = ("owned", "verdict_cache", "prepass", "dag_equal",
-                   "batch_filter")
+PROVENANCE_ENUM = ("owned", "prepass")
 
 # type -> (field, allowed python types); bool before int matters nowhere
 # here because require() rejects bools unless asked for.
@@ -950,13 +818,11 @@ class ExplainChecker(Checker):
                                   f"got {pass_index}")
             if provenance != "prepass" and pass_index < 0:
                 self.error(where, f"pass must be >= 0, got {pass_index}")
-        if provenance == "batch_filter" and record.get("verdict") is True:
-            self.error(where, "batch_filter records are pre-kernel "
-                              "rejections and must carry verdict false")
         if provenance != "owned":
             if "score" in record:
-                self.error(where, f"{provenance} records replay a verdict "
-                                  "and must not carry a scoring breakdown")
+                self.error(where, f"{provenance} records carry the verdict "
+                                  "only and must not carry a scoring "
+                                  "breakdown")
             return
         for field, types in OWNED_DETAIL_FIELDS:
             self.require(record, field, types, where)
@@ -1044,8 +910,7 @@ class ExplainChecker(Checker):
 TELEMETRY_REQUIRED_COUNTERS = ["kg.rows_done", "sw.pairs_done",
                                "tc.edges_done", "sw.comparisons"]
 TELEMETRY_REQUIRED_GAUGES = ["progress.phase", "kg.rows_total",
-                             "sw.pairs_planned_total",
-                             "cache.verdict_occupancy"]
+                             "sw.pairs_planned_total"]
 # setup, kg, sw, tc, done, external sort (v8; samples during the spill
 # + merge stage of an out-of-core run).
 TELEMETRY_PHASES = (0, 1, 2, 3, 4, 5)

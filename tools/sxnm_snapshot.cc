@@ -36,7 +36,6 @@ const char* FrameTypeName(FrameType type) {
     case FrameType::kReportRows: return "report_rows";
     case FrameType::kMetrics: return "metrics";
     case FrameType::kExplain: return "explain";
-    case FrameType::kVerdictCache: return "verdict_cache";
     case FrameType::kEndFrame: return "end";
   }
   return "unknown";
@@ -94,9 +93,6 @@ int Inspect(const std::string& path, bool quiet) {
                 decoded->levels_completed);
     std::printf("  budget_spent      %" PRIu64 "%s\n", decoded->budget_spent,
                 decoded->budget_exhausted ? " (exhausted)" : "");
-    std::printf("  verdict_occupancy %" PRIu64 "/%" PRIu64 "\n",
-                decoded->verdict_occupied_total,
-                decoded->verdict_capacity_total);
     std::printf("  phase seconds     kg=%.6f sw=%.6f tc=%.6f\n",
                 decoded->kg_seconds, decoded->sw_seconds,
                 decoded->tc_seconds);
