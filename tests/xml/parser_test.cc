@@ -131,6 +131,10 @@ struct BadInput {
   const char* input;
 };
 
+// Without this gtest prints the raw pointer bytes, which vary from run to
+// run under ASLR, into the test names that ctest discovers.
+void PrintTo(const BadInput& bad, std::ostream* os) { *os << bad.name; }
+
 class ParserErrorTest : public ::testing::TestWithParam<BadInput> {};
 
 TEST_P(ParserErrorTest, RejectsMalformedInput) {
