@@ -16,7 +16,7 @@
 //
 // Usage: fig5_scalability [--json <path>] [--scale-movies N]
 //                         [--scale-budget BYTES] [--scale-shards S]
-//                         [--profile <path.folded>] [--profile-hz N]
+//                         [--profile <path.folded>]
 //                         [max_movies] [seed]
 //
 // --json additionally writes the panels machine-readably (per-size phase
@@ -31,10 +31,9 @@
 // (util::ReadProcMemory). The opt-in `bench_scale` ctest drives this
 // at >= 1M generated-key rows.
 //
-// --profile attaches the sampling profiler (schema version 9) to every
-// panel run and leaves the last (largest) run's folded-stack profile at
-// <path.folded>; render with tools/sxnm_flame. --profile-hz overrides
-// the 97 Hz default.
+// --profile records exact per-span CPU on every panel run and leaves the
+// last (largest) run's folded-stack profile at <path.folded>; render
+// with tools/sxnm_flame.
 
 #include <algorithm>
 #include <cstdio>
@@ -66,10 +65,9 @@ struct PanelRow {
   double dd() const { return sw + tc; }
 };
 
-// Set by --profile / --profile-hz; every panel run is profiled and the
-// folded file holds the last (largest) run's spans.
+// Set by --profile; every panel run is profiled and the folded file
+// holds the last (largest) run's spans.
 std::string g_profile_path;
-double g_profile_hz = 97.0;
 
 sxnm::util::Result<PanelRow> RunOne(const sxnm::xml::Document& doc,
                                     size_t clean_movies) {
@@ -77,7 +75,6 @@ sxnm::util::Result<PanelRow> RunOne(const sxnm::xml::Document& doc,
   if (!config.ok()) return config.status();
   config->mutable_observability().metrics = true;
   config->mutable_observability().profile_path = g_profile_path;
-  config->mutable_observability().profile_hz = g_profile_hz;
   sxnm::core::Detector detector(std::move(config).value());
   auto result = detector.Run(doc);
   if (!result.ok()) return result.status();
@@ -245,8 +242,6 @@ int main(int argc, char** argv) {
                                           uint64_t{2} << 30);
   uint64_t scale_shards = ExtractSizeFlag(&argc, argv, "--scale-shards", 4);
   g_profile_path = ExtractStringFlag(&argc, argv, "--profile");
-  uint64_t profile_hz = ExtractSizeFlag(&argc, argv, "--profile-hz", 0);
-  if (profile_hz > 0) g_profile_hz = double(profile_hz);
   size_t max_movies = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 8000;
   uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 5;
 
@@ -406,7 +401,7 @@ int main(int argc, char** argv) {
     sxnm::bench::JsonWriter json(out);
     json.BeginObject();
     json.Field("bench", "fig5_scalability");
-    json.Field("schema_version", size_t{10});
+    json.Field("schema_version", size_t{11});
     json.Field("window", size_t{3});
     json.Field("seed", size_t(seed));
     WritePanelJson(json, "clean", clean_rows);

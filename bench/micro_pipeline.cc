@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "bench_json.h"
-#include "obs/profiler.h"
+#include "obs/trace.h"
 #include "datagen/dirty_gen.h"
 #include "datagen/movies.h"
 #include "persist/io.h"
@@ -236,10 +236,10 @@ std::pair<TelemetryProbe, TelemetryProbe> ProfileTelemetryAb(
   return {off, on};
 }
 
-// One arm pair of the sampling-profiler overhead A/B, interleaved like
+// One arm pair of the CPU-profiling overhead A/B, interleaved like
 // ProfileTelemetryAb (off, on, off, on, ...) with per-arm medians. The
-// on arm additionally keeps the last repeat's span-attributed profile
-// for the JSON block's sample table.
+// on arm additionally keeps the last repeat's per-span CPU profile for
+// the JSON block's span table.
 struct ProfilerProbe {
   double seconds = 0;
   size_t duplicate_pairs = 0;
@@ -248,12 +248,11 @@ struct ProfilerProbe {
 
 std::pair<ProfilerProbe, ProfilerProbe> ProfileProfilerAb(
     const sxnm::xml::Document& doc, const sxnm::core::Config& base_config,
-    const std::string& folded_path, double hz, int repeats) {
+    const std::string& folded_path, int repeats) {
   auto make_detector = [&](const std::string& path) {
     sxnm::core::Config config = base_config;
     config.mutable_observability().metrics = true;
     config.mutable_observability().profile_path = path;
-    config.mutable_observability().profile_hz = hz;
     return sxnm::core::Detector(std::move(config));
   };
   sxnm::core::Detector off_detector = make_detector("");
@@ -400,7 +399,7 @@ int WritePipelineJson(const std::string& path) {
   sxnm::bench::JsonWriter json(out);
   json.BeginObject();
   json.Field("bench", "micro_pipeline");
-  json.Field("schema_version", size_t{10});
+  json.Field("schema_version", size_t{11});
   json.BeginObject("dataset");
   json.Field("generator", "movies+DataSet1DirtyPreset");
   json.Field("clean_movies", kMovies);
@@ -485,26 +484,33 @@ int WritePipelineJson(const std::string& path) {
   json.Field("duplicate_pairs_on", tlm_on.duplicate_pairs);
   json.EndObject();
 
-  // Sampling-profiler overhead A/B (schema version 9): the profiler is
-  // timer-driven and its handler only snapshots a per-thread span array
-  // into a ring buffer, so detection must be bit-identical with it on
-  // and the wall-clock cost at the default 97 Hz must stay under 3%
-  // (tools/check_bench_json.py enforces both). Reuses the telemetry
-  // corpus: long enough for hundreds of samples to land.
-  constexpr double kProfileHz = 97.0;
+  // CPU-profiling overhead A/B (schema version 11): a profiled span
+  // reads its thread's CPU clock at start and end, so detection must be
+  // bit-identical with profiling on and the wall-clock cost must stay
+  // under 3% (tools/check_bench_json.py enforces both). Reuses the
+  // telemetry corpus.
   constexpr int kProfileRepeats = 9;
   std::string folded_path = path + ".folded";
-  auto [prof_off, prof_on] = ProfileProfilerAb(
-      tlm_doc, movie_config, folded_path, kProfileHz, kProfileRepeats);
+  auto [prof_off, prof_on] = ProfileProfilerAb(tlm_doc, movie_config,
+                                               folded_path, kProfileRepeats);
   std::remove(folded_path.c_str());
+  const sxnm::obs::CpuProfile& profile = prof_on.profile;
+  uint64_t attributed_ns = 0;  // root span paths' totals
+  for (const auto& entry : profile.entries) {
+    if (entry.path != "(unattributed)" &&
+        entry.path.find(';') == std::string::npos) {
+      attributed_ns += entry.total_ns;
+    }
+  }
+  auto micros = [](uint64_t ns) {
+    return static_cast<size_t>((ns + 500) / 1000);
+  };
   json.BeginObject("profile");
-  json.Field("hz", kProfileHz);
-  json.Field("backend", prof_on.profile.backend);
   json.Field("repeats", size_t{kProfileRepeats});
   json.Field("clean_movies", kTelemetryMovies);
   json.Field("window", size_t{10});
-  json.Field("samples", size_t{prof_on.profile.total_samples});
-  json.Field("dropped_samples", size_t{prof_on.profile.dropped_samples});
+  json.Field("cpu_us", micros(profile.cpu_ns));
+  json.Field("attributed_us", micros(attributed_ns));
   json.Field("profile_off_s", prof_off.seconds);
   json.Field("profile_on_s", prof_on.seconds);
   json.Field("overhead_pct", (prof_on.seconds - prof_off.seconds) /
@@ -514,12 +520,12 @@ int WritePipelineJson(const std::string& path) {
   json.BeginArray("top_spans");
   {
     size_t emitted = 0;
-    for (const auto& entry : prof_on.profile.entries) {
+    for (const auto& entry : profile.entries) {
       if (emitted++ == 10) break;
       json.BeginObject();
       json.Field("path", entry.path);
-      json.Field("self_samples", size_t{entry.self_samples});
-      json.Field("total_samples", size_t{entry.total_samples});
+      json.Field("self_us", micros(entry.self_ns));
+      json.Field("total_us", micros(entry.total_ns));
       json.EndObject();
     }
   }
@@ -628,11 +634,10 @@ int WritePipelineJson(const std::string& path) {
               tlm_off.seconds, tlm_on.seconds,
               (tlm_on.seconds - tlm_off.seconds) / tlm_off.seconds * 100.0);
   std::printf("profiler overhead:  off %.4fs -> on %.4fs (%+.2f%%), "
-              "%llu samples via %s\n",
+              "%.4fs CPU profiled\n",
               prof_off.seconds, prof_on.seconds,
               (prof_on.seconds - prof_off.seconds) / prof_off.seconds * 100.0,
-              static_cast<unsigned long long>(prof_on.profile.total_samples),
-              prof_on.profile.backend.c_str());
+              static_cast<double>(prof_on.profile.cpu_ns) * 1e-9);
   std::printf("SW: serial_legacy %.4fs -> threads4_fast %.4fs (%.2fx)\n",
               baseline.sw, last.sw, baseline.sw / last.sw);
   return 0;

@@ -160,7 +160,7 @@ int WriteKernelJson(const std::string& path) {
   sxnm::bench::JsonWriter json(out);
   json.BeginObject();
   json.Field("bench", "micro_similarity");
-  json.Field("schema_version", size_t{10});
+  json.Field("schema_version", size_t{11});
   json.Field("repeats", size_t{kRepeats});
   json.BeginArray("kernels");
   for (size_t length : kLengths) {

@@ -49,10 +49,10 @@ constexpr char kUsage[] =
     "                    executes; watch with tools/sxnm_top --follow\n"
     "  --telemetry-interval-ms=N\n"
     "                    telemetry sampling period (default 250)\n"
-    "  --profile=PATH    sample CPU by span and write a folded-stack\n"
-    "                    profile (flamegraph.pl format) to PATH; render\n"
-    "                    with tools/sxnm_flame\n"
-    "  --profile-hz=N    profiler sampling rate (default 97)\n"
+    "  --profile=PATH    record exact CPU per span and write a folded-stack\n"
+    "                    profile (flamegraph.pl format, counts in CPU µs)\n"
+    "                    to PATH; render with tools/sxnm_flame\n"
+    "  --profile-hz=N    deprecated and ignored (profiles no longer sample)\n"
     "  --help            show this help\n";
 
 struct Options {
@@ -65,7 +65,7 @@ struct Options {
   std::string telemetry_path;
   std::string telemetry_interval_ms;
   std::string profile_path;
-  std::string profile_hz;
+  std::string profile_hz;  // deprecated: warned about and ignored
 };
 
 bool FlagValue(const char* arg, const char* name, std::string* out) {
@@ -171,13 +171,9 @@ int main(int argc, char** argv) {
   }
   config->mutable_observability().profile_path = opts.profile_path;
   if (!opts.profile_hz.empty()) {
-    double hz = sxnm::util::ParseDoubleOr(opts.profile_hz, 0.0);
-    if (hz <= 0.0) {
-      std::fprintf(stderr, "--profile-hz: not a positive number\n\n%s",
-                   kUsage);
-      return sxnm::util::kExitUsage;
-    }
-    config->mutable_observability().profile_hz = hz;
+    std::fprintf(stderr,
+                 "warning: --profile-hz is deprecated and ignored: "
+                 "profiles record exact per-span CPU time\n");
   }
 
   auto result = sxnm::core::Detector(config.value()).Run(dirty.value());
@@ -288,11 +284,9 @@ int main(int argc, char** argv) {
   }
   if (!opts.profile_path.empty()) {
     std::printf(
-        "profile written to %s (%llu samples via %s; render with "
-        "tools/sxnm_flame)\n",
+        "profile written to %s (%.3f s CPU; render with tools/sxnm_flame)\n",
         opts.profile_path.c_str(),
-        static_cast<unsigned long long>(result->profile.total_samples),
-        result->profile.backend.c_str());
+        static_cast<double>(result->profile.cpu_ns) * 1e-9);
   }
   return 0;
 }

@@ -3,7 +3,7 @@
 //   sxnm_cli <config.xml> <data.xml> [-o out.xml] [--fuse|--first|--richest]
 //            [--report [--gold]] [--advise] [--metrics-out metrics.prom]
 //            [--telemetry run.tlm.ndjsonl] [--telemetry-interval-ms N]
-//            [--profile run.folded] [--profile-hz N]
+//            [--profile run.folded]
 //            [--shards N] [--memory-budget BYTES] [--spill-dir DIR]
 //
 // Loads an SXNM configuration (see examples/config_tool for the format),
@@ -16,6 +16,9 @@
 // sliding-window pass and an external-sort memory budget (binary
 // suffixes k/m/g accepted) under which generated-key rows spill to DIR.
 // Detection output is bit-identical for every shard count and budget.
+//
+// --profile-hz N is accepted for old scripts, warned about and ignored:
+// profiles record exact per-span CPU time, with no sampling rate.
 
 #include <cstdio>
 #include <cstring>
@@ -46,7 +49,7 @@ int Usage(const char* argv0) {
                "[--metrics-out metrics.prom]\n"
                "       [--telemetry run.tlm.ndjsonl] "
                "[--telemetry-interval-ms N]\n"
-               "       [--profile run.folded] [--profile-hz N]\n"
+               "       [--profile run.folded]\n"
                "       [--shards N] [--memory-budget BYTES] "
                "[--spill-dir DIR]\n",
                argv0);
@@ -91,7 +94,6 @@ int main(int argc, char** argv) {
   std::string telemetry_path;
   double telemetry_interval_ms = 0.0;  // 0 = keep the config's value
   std::string profile_path;
-  double profile_hz = 0.0;             // 0 = keep the config's value
   long long shards = 0;                // 0 = keep the config's value
   long long memory_budget = -1;        // -1 = keep the config's value
   std::string spill_dir;
@@ -125,11 +127,10 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--profile") == 0 && i + 1 < argc) {
       profile_path = argv[++i];
     } else if (std::strcmp(argv[i], "--profile-hz") == 0 && i + 1 < argc) {
-      profile_hz = sxnm::util::ParseDoubleOr(argv[++i], 0.0);
-      if (profile_hz <= 0.0) {
-        std::fprintf(stderr, "--profile-hz: not a positive number\n");
-        return Usage(argv[0]);
-      }
+      ++i;
+      std::fprintf(stderr,
+                   "warning: --profile-hz is deprecated and ignored: "
+                   "profiles record exact per-span CPU time\n");
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
       shards = sxnm::util::ParseNonNegativeInt(argv[++i]);
       if (shards < 1) {
@@ -175,9 +176,6 @@ int main(int argc, char** argv) {
   }
   if (!profile_path.empty()) {
     loaded_config.mutable_observability().profile_path = profile_path;
-  }
-  if (profile_hz > 0.0) {
-    loaded_config.mutable_observability().profile_hz = profile_hz;
   }
   if (shards > 0) {
     loaded_config.set_shards(static_cast<size_t>(shards));
@@ -301,11 +299,9 @@ int main(int argc, char** argv) {
                 telemetry_path.c_str());
   }
   if (!profile_path.empty()) {
-    std::printf(
-        "wrote %s (%llu CPU samples via %s; render with tools/sxnm_flame)\n",
-        profile_path.c_str(),
-        static_cast<unsigned long long>(result->profile.total_samples),
-        result->profile.backend.c_str());
+    std::printf("wrote %s (%.3f s CPU; render with tools/sxnm_flame)\n",
+                profile_path.c_str(),
+                static_cast<double>(result->profile.cpu_ns) * 1e-9);
   }
 
   if (!out_path.empty()) {

@@ -1,165 +1,52 @@
 #include "obs/trace.h"
 
-#include <unistd.h>
+#include <time.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
+#include <map>
 #include <sstream>
 #include <tuple>
-#include <unordered_map>
-
-#ifdef __linux__
-#include <sys/syscall.h>
-#endif
 
 #include "persist/io.h"
 
 namespace sxnm::obs {
 
-namespace spanpath {
-
 namespace {
 
-uint64_t CurrentTid() {
-#ifdef __linux__
-  return static_cast<uint64_t>(syscall(SYS_gettid));
-#else
-  return 0;
-#endif
+constexpr char kUnattributed[] = "(unattributed)";
+
+uint64_t ClockNs(clockid_t clock) {
+  timespec ts{};
+  clock_gettime(clock, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1000000000u +
+         static_cast<uint64_t>(ts.tv_nsec);
 }
 
-// Interned span names. A deque keeps element addresses stable across
-// growth; ids are indices. Bounded by the number of distinct span names
-// ever started (a handful per run), so it is never trimmed.
-struct NameTable {
-  std::mutex mu;
-  std::deque<std::string> names;
-  std::unordered_map<std::string, uint32_t> ids;
-};
+uint64_t ThreadCpuNs() { return ClockNs(CLOCK_THREAD_CPUTIME_ID); }
+uint64_t ProcessCpuNs() { return ClockNs(CLOCK_PROCESS_CPUTIME_ID); }
 
-NameTable& Names() {
-  static NameTable* table = new NameTable();
-  return *table;
+// The calling thread's open profiled span path ("a;b;c"). Only its
+// own thread reads or writes it.
+std::string& ThreadSpanPath() {
+  thread_local std::string path;
+  return path;
 }
 
-// Registered thread stacks plus the (single) profiler hook set. Stacks
-// are pooled for the process lifetime: a ThreadStack handed to a thread
-// is returned to `pool` when the thread exits and recycled for the next
-// thread, but its memory is never freed — a late async signal aimed at
-// an exiting thread can therefore never touch freed memory.
-struct Registry {
-  std::mutex mu;
-  std::vector<ThreadStack*> stacks;  // currently registered threads
-  std::vector<ThreadStack*> pool;    // retired, reusable
-  ThreadHooks hooks;
-};
-
-Registry& TheRegistry() {
-  static Registry* registry = new Registry();
-  return *registry;
-}
-
-void UnregisterThread(ThreadStack* stack) {
-  Registry& reg = TheRegistry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  if (reg.hooks.on_unregister != nullptr) {
-    reg.hooks.on_unregister(reg.hooks.ctx, stack, /*on_thread=*/true);
+// Appends `name` as one folded-stack frame: the separator ';' and
+// whitespace become '_', and an empty name becomes "_".
+void AppendFrame(const std::string& name, std::string* path) {
+  if (name.empty()) {
+    *path += '_';
+    return;
   }
-  auto it = std::find(reg.stacks.begin(), reg.stacks.end(), stack);
-  if (it != reg.stacks.end()) reg.stacks.erase(it);
-  reg.pool.push_back(stack);
-}
-
-// Thread-local registration handle: registers on construction (first
-// ThisThreadStack call), unregisters when the thread exits.
-struct ThreadSlot {
-  ThreadStack* stack = nullptr;
-
-  ThreadSlot() {
-    Registry& reg = TheRegistry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    if (!reg.pool.empty()) {
-      stack = reg.pool.back();
-      reg.pool.pop_back();
-      stack->depth.store(0, std::memory_order_relaxed);
-      stack->truncated.store(0, std::memory_order_relaxed);
-      stack->profiler_state.store(nullptr, std::memory_order_relaxed);
-    } else {
-      stack = new ThreadStack();
-    }
-    stack->tid = CurrentTid();
-    stack->pthread_handle = pthread_self();
-    reg.stacks.push_back(stack);
-    if (reg.hooks.on_register != nullptr) {
-      reg.hooks.on_register(reg.hooks.ctx, stack, /*on_thread=*/true);
-    }
+  for (char c : name) {
+    bool meta = c == ';' || c == ' ' || c == '\t' || c == '\n' || c == '\r';
+    *path += meta ? '_' : c;
   }
-
-  ~ThreadSlot() { UnregisterThread(stack); }
-};
-
-}  // namespace
-
-uint32_t InternName(const std::string& name) {
-  NameTable& table = Names();
-  std::lock_guard<std::mutex> lock(table.mu);
-  auto it = table.ids.find(name);
-  if (it != table.ids.end()) return it->second;
-  uint32_t id = static_cast<uint32_t>(table.names.size());
-  table.names.push_back(name);
-  table.ids.emplace(name, id);
-  return id;
 }
 
-std::string NameOf(uint32_t id) {
-  NameTable& table = Names();
-  std::lock_guard<std::mutex> lock(table.mu);
-  if (id >= table.names.size()) return "?";
-  return table.names[id];
-}
-
-ThreadStack* ThisThreadStack() {
-  static thread_local ThreadSlot slot;
-  return slot.stack;
-}
-
-bool InstallThreadHooks(const ThreadHooks& hooks) {
-  Registry& reg = TheRegistry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  if (reg.hooks.on_register != nullptr || reg.hooks.on_unregister != nullptr) {
-    return false;
-  }
-  reg.hooks = hooks;
-  if (reg.hooks.on_register != nullptr) {
-    for (ThreadStack* stack : reg.stacks) {
-      reg.hooks.on_register(reg.hooks.ctx, stack, /*on_thread=*/false);
-    }
-  }
-  return true;
-}
-
-void RemoveThreadHooks(void* ctx) {
-  Registry& reg = TheRegistry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  if (reg.hooks.ctx != ctx) return;
-  if (reg.hooks.on_unregister != nullptr) {
-    for (ThreadStack* stack : reg.stacks) {
-      reg.hooks.on_unregister(reg.hooks.ctx, stack, /*on_thread=*/false);
-    }
-  }
-  reg.hooks = ThreadHooks();
-}
-
-void ForEachThreadStack(const std::function<void(ThreadStack*)>& fn) {
-  Registry& reg = TheRegistry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  for (ThreadStack* stack : reg.stacks) fn(stack);
-}
-
-}  // namespace spanpath
-
-namespace {
+uint64_t Micros(uint64_t ns) { return (ns + 500) / 1000; }
 
 void WriteJsonString(std::ostream& os, const std::string& s) {
   os << '"';
@@ -199,9 +86,11 @@ Tracer::Span& Tracer::Span::operator=(Span&& other) noexcept {
     name_ = std::move(other.name_);
     start_ = other.start_;
     record_ = other.record_;
-    pushed_ = other.pushed_;
+    path_ = std::move(other.path_);
+    parent_len_ = other.parent_len_;
+    cpu_start_ns_ = other.cpu_start_ns_;
     other.tracer_ = nullptr;
-    other.pushed_ = nullptr;
+    other.path_.clear();
   }
   return *this;
 }
@@ -213,9 +102,14 @@ void Tracer::Span::EndWithArgs(std::string args_json) {
   Tracer* tracer = tracer_;
   tracer_ = nullptr;
 
-  if (pushed_ != nullptr) {
-    pushed_->Pop();
-    pushed_ = nullptr;
+  if (!path_.empty()) {
+    uint64_t cpu_ns = ThreadCpuNs() - cpu_start_ns_;
+    // Pop this span's frame. Never grow the path: a parent that ended
+    // out of order already cut it shorter.
+    std::string& thread_path = ThreadSpanPath();
+    thread_path.resize(std::min(thread_path.size(), parent_len_));
+    tracer->AddCpu(std::move(path_), cpu_ns);
+    path_.clear();
   }
   if (!record_) return;
 
@@ -231,19 +125,30 @@ void Tracer::Span::EndWithArgs(std::string args_json) {
   tracer->Record(std::move(event));
 }
 
-Tracer::Tracer(bool enabled, bool track_paths)
+Tracer::Tracer(bool enabled, bool profile_cpu)
     : enabled_(enabled),
-      track_paths_(track_paths),
-      epoch_(std::chrono::steady_clock::now()) {}
+      profile_cpu_(profile_cpu),
+      epoch_(std::chrono::steady_clock::now()),
+      process_cpu_epoch_ns_(profile_cpu ? ProcessCpuNs() : 0) {}
 
 Tracer::Span Tracer::StartSpan(std::string name) {
-  if (!enabled_ && !track_paths_) return Span();
-  spanpath::ThreadStack* pushed = nullptr;
-  if (track_paths_) {
-    spanpath::ThreadStack* stack = spanpath::ThisThreadStack();
-    if (stack->Push(spanpath::InternName(name))) pushed = stack;
+  if (!enabled_ && !profile_cpu_) return Span();
+  Span span(this, std::move(name), enabled_);
+  if (profile_cpu_) {
+    std::string& thread_path = ThreadSpanPath();
+    span.parent_len_ = thread_path.size();
+    if (!thread_path.empty()) thread_path += ';';
+    AppendFrame(span.name_, &thread_path);
+    span.path_ = thread_path;
+    span.cpu_start_ns_ = ThreadCpuNs();
   }
-  return Span(this, std::move(name), enabled_, pushed);
+  return span;
+}
+
+void Tracer::AddCpu(std::string path, uint64_t ns) {
+  Buffer& buffer = buffers_[ThisThreadShard()];
+  std::lock_guard<std::mutex> lock(buffer.mu);
+  buffer.cpu_ns[std::move(path)] += ns;
 }
 
 void Tracer::Record(Event event) {
@@ -294,11 +199,99 @@ util::Status Tracer::WriteChromeTraceFile(const std::string& path) const {
   return persist::AtomicWriteFile(path, os.str());
 }
 
+obs::CpuProfile Tracer::CpuProfile() const {
+  obs::CpuProfile profile;
+  if (!profile_cpu_) return profile;
+  profile.enabled = true;
+  const uint64_t process_ns = ProcessCpuNs() - process_cpu_epoch_ns_;
+  std::map<std::string, uint64_t> total_ns;
+  for (Buffer& buffer : buffers_) {
+    std::lock_guard<std::mutex> lock(buffer.mu);
+    for (const auto& [path, ns] : buffer.cpu_ns) total_ns[path] += ns;
+  }
+  // A child span runs inside its parent on the parent's thread, so a
+  // path's total covers its direct children's totals exactly.
+  std::map<std::string, uint64_t> children_ns;
+  uint64_t root_ns = 0;
+  for (const auto& [path, ns] : total_ns) {
+    size_t cut = path.rfind(';');
+    if (cut == std::string::npos) {
+      root_ns += ns;
+    } else {
+      children_ns[path.substr(0, cut)] += ns;
+    }
+  }
+  for (const auto& [path, ns] : total_ns) {
+    auto it = children_ns.find(path);
+    uint64_t children = it == children_ns.end() ? 0 : it->second;
+    profile.entries.push_back({path, ns - std::min(ns, children), ns});
+  }
+  profile.cpu_ns = std::max(process_ns, root_ns);
+  const uint64_t unattributed = profile.cpu_ns - root_ns;
+  profile.entries.push_back({kUnattributed, unattributed, unattributed});
+  std::sort(profile.entries.begin(), profile.entries.end(),
+            [](const obs::CpuProfile::Entry& a,
+               const obs::CpuProfile::Entry& b) {
+              if (a.self_ns != b.self_ns) return a.self_ns > b.self_ns;
+              return a.path < b.path;
+            });
+  return profile;
+}
+
 void Tracer::Clear() {
   for (Buffer& buffer : buffers_) {
     std::lock_guard<std::mutex> lock(buffer.mu);
     buffer.events.clear();
   }
+}
+
+// ---------------------------------------------------------------------------
+// CpuProfile
+// ---------------------------------------------------------------------------
+
+const CpuProfile::Entry* CpuProfile::TopSelf() const {
+  // Entries are sorted self-descending, so the first with self CPU (if
+  // any) leads the vector.
+  if (entries.empty() || entries.front().self_ns == 0) return nullptr;
+  return &entries.front();
+}
+
+void CpuProfile::WriteFolded(std::ostream& os) const {
+  // One line per path with self CPU. Sorted by path for a stable diff.
+  std::vector<const Entry*> leaves;
+  for (const Entry& e : entries) {
+    if (Micros(e.self_ns) > 0) leaves.push_back(&e);
+  }
+  std::sort(leaves.begin(), leaves.end(),
+            [](const Entry* a, const Entry* b) { return a->path < b->path; });
+  for (const Entry* e : leaves) {
+    os << e->path << ' ' << Micros(e->self_ns) << '\n';
+  }
+}
+
+util::Status CpuProfile::WriteFoldedFile(const std::string& path) const {
+  std::ostringstream os;
+  WriteFolded(os);
+  return persist::AtomicWriteFile(path, os.str());
+}
+
+void CpuProfile::WriteJson(std::ostream& os) const {
+  os << "{\"enabled\": " << (enabled ? "true" : "false");
+  if (!enabled) {
+    os << "}";
+    return;
+  }
+  os << ", \"cpu_us\": " << Micros(cpu_ns) << ", \"spans\": [";
+  bool first = true;
+  for (const Entry& e : entries) {
+    if (!first) os << ", ";
+    first = false;
+    os << "{\"path\": ";
+    WriteJsonString(os, e.path);
+    os << ", \"self_us\": " << Micros(e.self_ns)
+       << ", \"total_us\": " << Micros(e.total_ns) << "}";
+  }
+  os << "]}";
 }
 
 }  // namespace sxnm::obs

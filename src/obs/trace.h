@@ -6,22 +6,24 @@
 // visible at a glance.
 //
 // Spans record steady-clock microseconds relative to the tracer's
-// construction. A disabled tracer hands out inert spans whose
-// construction and destruction cost one branch.
+// construction. With CPU profiling on, each span also reads its
+// thread's CPU clock (CLOCK_THREAD_CPUTIME_ID) at start and end and
+// charges the exact difference to its span path: the names of the
+// spans open on that thread, root first. CpuProfile() folds those
+// per-path totals into self/total CPU — no sampling, so no sampling
+// error. A tracer with tracing and profiling both off hands out inert
+// spans whose construction and destruction cost one branch.
 
 #ifndef SXNM_OBS_TRACE_H_
 #define SXNM_OBS_TRACE_H_
 
-#include <pthread.h>
-
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.h"  // kNumShards / ThisThreadShard
@@ -29,114 +31,44 @@
 
 namespace sxnm::obs {
 
-// ---------------------------------------------------------------------------
-// Span-path tracking for the sampling profiler (obs/profiler.h).
-//
-// Every thread that opens a path-tracked span maintains a small lock-free
-// stack of interned span-name ids. The stack is designed so that an
-// async-signal handler running ON the same thread (SIGPROF sampling), or a
-// sampler thread reading ANOTHER thread's stack (portable fallback), can
-// snapshot the current span path without taking locks or allocating.
-//
-// Writer protocol (owning thread only):
-//   push: frames[d].store(id, relaxed); depth.store(d + 1, release);
-//   pop:  depth.store(d - 1, release);
-// The release store on depth orders the frame write before the depth bump,
-// so any reader that observes depth == d + 1 also observes frames[d].
-// Same-thread signal handlers additionally get program-order guarantees.
-// Cross-thread readers may race with a concurrent push/pop and snapshot a
-// path that is one frame stale — acceptable for a sampling profiler.
-// ---------------------------------------------------------------------------
-namespace spanpath {
+/// Exact CPU time per span path, produced by Tracer::CpuProfile. A
+/// default-constructed profile has enabled == false.
+struct CpuProfile {
+  struct Entry {
+    /// Semicolon-joined span path, root first (frame names sanitized so
+    /// they contain no ';' or whitespace). Process CPU spent outside
+    /// every span — on any thread — appears as "(unattributed)".
+    std::string path;
+    /// CPU in spans with exactly this path, minus the CPU of their
+    /// direct child spans.
+    uint64_t self_ns = 0;
+    /// CPU in spans with exactly this path, children included.
+    uint64_t total_ns = 0;
+  };
 
-/// Maximum tracked span nesting. Deeper pushes are counted (truncated)
-/// and dropped; the engine's real nesting is ~5 deep.
-inline constexpr size_t kMaxDepth = 16;
+  bool enabled = false;
+  /// Process CPU (all threads) over the tracer's lifetime: the root
+  /// paths' totals plus "(unattributed)".
+  uint64_t cpu_ns = 0;
+  /// Entries sorted by self_ns descending, then path ascending.
+  std::vector<Entry> entries;
 
-/// Per-thread lock-free span-path stack. Allocated once per thread on
-/// first use and pooled for the process lifetime (never freed), so a
-/// late async signal can never dereference freed memory.
-struct ThreadStack {
-  std::array<std::atomic<uint32_t>, kMaxDepth> frames{};
-  std::atomic<uint32_t> depth{0};
-  /// Pushes dropped because the stack was full.
-  std::atomic<uint64_t> truncated{0};
-  /// Kernel thread id (gettid) of the owning thread; 0 if unknown.
-  uint64_t tid = 0;
-  /// pthread handle of the owning thread (for pthread_getcpuclockid).
-  pthread_t pthread_handle{};
-  /// Opaque per-thread profiler state (owned by the active profiler).
-  std::atomic<void*> profiler_state{nullptr};
+  /// First entry with self CPU, or nullptr (entries are top-first).
+  const Entry* TopSelf() const;
 
-  /// Owning-thread push. Returns true when the frame was recorded (the
-  /// matching End must then Pop).
-  bool Push(uint32_t name_id) {
-    uint32_t d = depth.load(std::memory_order_relaxed);
-    if (d >= kMaxDepth) {
-      truncated.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    frames[d].store(name_id, std::memory_order_relaxed);
-    depth.store(d + 1, std::memory_order_release);
-    return true;
-  }
+  /// flamegraph.pl-compatible folded stacks: one "a;b;c N" line per
+  /// path, N = self CPU in whole microseconds (paths under 1 µs are
+  /// omitted).
+  void WriteFolded(std::ostream& os) const;
 
-  /// Owning-thread pop (no-op on an empty stack).
-  void Pop() {
-    uint32_t d = depth.load(std::memory_order_relaxed);
-    if (d > 0) depth.store(d - 1, std::memory_order_release);
-  }
+  /// WriteFolded through an atomic tmp+fsync+rename commit: a crash
+  /// leaves the previous file (or none), never a torn profile.
+  util::Status WriteFoldedFile(const std::string& path) const;
 
-  /// Snapshot into `out[0..kMaxDepth)`; returns the captured depth.
-  /// Safe from the owning thread's signal handler; cross-thread callers
-  /// get a best-effort (possibly one-frame-stale) path.
-  uint32_t Snapshot(uint32_t* out) const {
-    uint32_t d = depth.load(std::memory_order_acquire);
-    if (d > kMaxDepth) d = kMaxDepth;
-    for (uint32_t i = 0; i < d; ++i) {
-      out[i] = frames[i].load(std::memory_order_relaxed);
-    }
-    return d;
-  }
+  /// The DetectionReport "profile" block (a JSON object, no trailing
+  /// newline): total CPU plus per-path self/total CPU in microseconds.
+  void WriteJson(std::ostream& os) const;
 };
-
-/// Interns a span name, returning a stable process-wide id. Never call
-/// from a signal handler (takes a lock, may allocate).
-uint32_t InternName(const std::string& name);
-
-/// Name for an interned id ("?" for unknown ids). Thread-safe.
-std::string NameOf(uint32_t id);
-
-/// The calling thread's stack; registers the thread (and fires the
-/// active registration hook, if any) on first use. Thread-safe.
-ThreadStack* ThisThreadStack();
-
-/// Registration hooks: an active profiler installs these to learn about
-/// span-pushing threads. `on_thread` is true when the callback runs on
-/// the thread being registered (lazy first-use registration) and false
-/// when it runs from InstallThreadHooks/RemoveThreadHooks for threads
-/// that were already registered. Callbacks run under the registry lock:
-/// they must not re-enter spanpath registration.
-struct ThreadHooks {
-  void (*on_register)(void* ctx, ThreadStack* stack, bool on_thread) = nullptr;
-  void (*on_unregister)(void* ctx, ThreadStack* stack, bool on_thread) =
-      nullptr;
-  void* ctx = nullptr;
-};
-
-/// Installs hooks and invokes on_register for every already-registered
-/// thread before returning. Fails (returns false) if hooks are already
-/// installed — at most one profiler can be active.
-bool InstallThreadHooks(const ThreadHooks& hooks);
-
-/// Invokes on_unregister for every still-registered thread, then clears
-/// the hooks. No-op when `ctx` does not match the installed hooks.
-void RemoveThreadHooks(void* ctx);
-
-/// Visits every registered thread stack under the registry lock.
-void ForEachThreadStack(const std::function<void(ThreadStack*)>& fn);
-
-}  // namespace spanpath
 
 class Tracer {
  public:
@@ -150,7 +82,9 @@ class Tracer {
   };
 
   /// RAII span: records one Event covering its lifetime. Inert when
-  /// default-constructed or handed out by a disabled tracer.
+  /// default-constructed or handed out by a disabled tracer. A profiled
+  /// span must End on the thread that started it; spans on one thread
+  /// nest, so the span opened last ends first.
   class Span {
    public:
     Span() = default;
@@ -170,33 +104,33 @@ class Tracer {
 
    private:
     friend class Tracer;
-    Span(Tracer* tracer, std::string name, bool record,
-         spanpath::ThreadStack* pushed)
+    Span(Tracer* tracer, std::string name, bool record)
         : tracer_(tracer),
           name_(std::move(name)),
           start_(std::chrono::steady_clock::now()),
-          record_(record),
-          pushed_(pushed) {}
+          record_(record) {}
 
     Tracer* tracer_ = nullptr;  // nullptr = inert / already ended
     std::string name_;
     std::chrono::steady_clock::time_point start_;
     bool record_ = false;  // emit a Chrome trace event on End
-    // Span-path stack this span pushed a frame onto (nullptr = none).
-    // Spans must End on the thread that started them.
-    spanpath::ThreadStack* pushed_ = nullptr;
+    // CPU profiling: this span's path (empty = not profiled), the length
+    // of the thread's path before this span joined it, and the thread
+    // CPU clock at start.
+    std::string path_;
+    size_t parent_len_ = 0;
+    uint64_t cpu_start_ns_ = 0;
   };
 
-  /// `enabled` buffers Chrome trace events; `track_paths` additionally
-  /// maintains the per-thread span-path stacks the sampling profiler
-  /// snapshots. With both off, StartSpan hands out inert spans whose
-  /// whole lifecycle costs one branch.
-  explicit Tracer(bool enabled = true, bool track_paths = false);
+  /// `enabled` buffers Chrome trace events; `profile_cpu` additionally
+  /// charges each span's thread CPU to its span path (see CpuProfile).
+  /// With both off, StartSpan hands out inert spans whose whole
+  /// lifecycle costs one branch.
+  explicit Tracer(bool enabled = true, bool profile_cpu = false);
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
   bool enabled() const { return enabled_; }
-  bool track_paths() const { return track_paths_; }
 
   /// Opens a span on the calling thread. Thread-safe.
   Span StartSpan(std::string name);
@@ -214,17 +148,28 @@ class Tracer {
   /// WriteChromeTrace to a file; fails when the path is unwritable.
   util::Status WriteChromeTraceFile(const std::string& path) const;
 
+  /// Folds the CPU of every ended span into per-path self/total CPU;
+  /// process CPU since construction not covered by a root span becomes
+  /// "(unattributed)". Disabled unless profile_cpu. Thread-safe; spans
+  /// still open contribute nothing.
+  obs::CpuProfile CpuProfile() const;
+
+  /// Drops the recorded trace events (the CPU totals stay).
   void Clear();
 
  private:
   struct Buffer {
     std::mutex mu;
     std::vector<Event> events;
+    std::unordered_map<std::string, uint64_t> cpu_ns;  // span path → CPU
   };
 
+  void AddCpu(std::string path, uint64_t ns);
+
   bool enabled_;
-  bool track_paths_;
+  bool profile_cpu_;
   std::chrono::steady_clock::time_point epoch_;
+  const uint64_t process_cpu_epoch_ns_;  // process CPU clock at construction
   mutable std::array<Buffer, kNumShards> buffers_;
 };
 

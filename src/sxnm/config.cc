@@ -223,11 +223,6 @@ util::Status Config::Validate() const {
     return Status::InvalidArgument(
         "observability: telemetry-interval-ms must be a positive number");
   }
-  if (!(observability_.profile_hz > 0.0) ||
-      !std::isfinite(observability_.profile_hz)) {
-    return Status::InvalidArgument(
-        "observability: profile-hz must be a positive number");
-  }
   std::set<std::string> abs_paths;
   for (const CandidateConfig& c : candidates_) {
     SXNM_RETURN_IF_ERROR(ValidateCandidate(c));

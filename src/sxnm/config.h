@@ -187,19 +187,15 @@ struct ObservabilityConfig {
   /// Sampling period for the telemetry stream, in milliseconds.
   double telemetry_interval_ms = 250.0;
 
-  /// When non-empty, run the in-process sampling CPU profiler for the
-  /// duration of the detection and write a flamegraph.pl-compatible
-  /// folded-stack profile to this path (see docs/OBSERVABILITY.md and
-  /// tools/sxnm_flame). With `metrics` on, the per-span-path breakdown
-  /// is additionally embedded as the report's "profile" block. The
-  /// profiler only observes: detection output is bit-identical with
-  /// profiling on or off, for any num_threads.
+  /// When non-empty, charge each span's exact thread CPU to its span
+  /// path for the duration of the detection and write a
+  /// flamegraph.pl-compatible folded-stack profile (self CPU in µs) to
+  /// this path (see docs/OBSERVABILITY.md and tools/sxnm_flame). With
+  /// `metrics` on, the per-span-path breakdown is additionally embedded
+  /// as the report's "profile" block. Profiling only observes:
+  /// detection output is bit-identical with it on or off, for any
+  /// num_threads.
   std::string profile_path;
-
-  /// Sampling frequency of the profiler in samples per thread-CPU
-  /// second. Prime by default so the sampler cannot phase-lock with
-  /// periodic engine work.
-  double profile_hz = 97.0;
 
   bool any() const { return metrics || !trace_path.empty(); }
 };

@@ -141,9 +141,13 @@ Status ParseCheckpoint(const Element& elem, CheckpointConfig& checkpoint) {
 
 // <observability metrics="on" trace="trace.json" report="report.json"
 //                 explain="explain.ndjson" telemetry="run.tlm.ndjsonl"
-//                 telemetry-interval-ms="250" profile="run.folded"
-//                 profile-hz="97"/>
-Result<ObservabilityConfig> ParseObservability(const Element& elem) {
+//                 telemetry-interval-ms="250" profile="run.folded"/>
+//
+// `profile-hz` once set the rate of the removed sampling profiler. Old
+// configs that carry it still load: the value must still be a positive
+// number, but it is ignored and `*profile_rate_seen` is set.
+Result<ObservabilityConfig> ParseObservability(const Element& elem,
+                                               bool* profile_rate_seen) {
   ObservabilityConfig obs;
   auto metrics = BoolAttrOr(elem, "metrics", false);
   if (!metrics.ok()) return metrics.status();
@@ -172,7 +176,7 @@ Result<ObservabilityConfig> ParseObservability(const Element& elem) {
           "number: " +
           *hz);
     }
-    obs.profile_hz = parsed;
+    *profile_rate_seen = true;
   }
   return obs;
 }
@@ -417,8 +421,9 @@ util::Result<Config> ConfigFromXml(const xml::Document& doc,
   if (const std::string* dir = doc.root()->FindAttribute("spill-dir")) {
     config.set_spill_dir(std::string(util::TrimView(*dir)));
   }
+  bool profile_rate_seen = false;
   if (const Element* obs = doc.root()->FirstChildElement("observability")) {
-    auto parsed = ParseObservability(*obs);
+    auto parsed = ParseObservability(*obs, &profile_rate_seen);
     if (!parsed.ok()) return parsed.status();
     config.mutable_observability() = std::move(parsed).value();
   }
@@ -438,6 +443,11 @@ util::Result<Config> ConfigFromXml(const xml::Document& doc,
     SXNM_RETURN_IF_ERROR(config.AddCandidate(std::move(candidate).value()));
   }
   SXNM_RETURN_IF_ERROR(config.Validate());
+  if (profile_rate_seen && warnings != nullptr) {
+    warnings->push_back(
+        "observability attribute 'profile-hz' is deprecated and ignored: "
+        "profiles now record exact per-span CPU time instead of sampling");
+  }
   for (size_t i = 0; i < std::size(kDeprecatedCandidateAttrs); ++i) {
     if (deprecated_seen[i] && warnings != nullptr) {
       warnings->push_back("candidate attribute '" +
@@ -485,8 +495,7 @@ xml::Document ConfigToXml(const Config& config) {
   if (obs.metrics || !obs.trace_path.empty() || !obs.report_path.empty() ||
       !obs.explain_path.empty() || !obs.telemetry_path.empty() ||
       obs.telemetry_interval_ms != obs_defaults.telemetry_interval_ms ||
-      !obs.profile_path.empty() ||
-      obs.profile_hz != obs_defaults.profile_hz) {
+      !obs.profile_path.empty()) {
     Element* e = root->AddElement("observability");
     e->SetAttribute("metrics", obs.metrics ? "on" : "off");
     if (!obs.trace_path.empty()) e->SetAttribute("trace", obs.trace_path);
@@ -503,9 +512,6 @@ xml::Document ConfigToXml(const Config& config) {
     }
     if (!obs.profile_path.empty()) {
       e->SetAttribute("profile", obs.profile_path);
-    }
-    if (obs.profile_hz != obs_defaults.profile_hz) {
-      e->SetAttribute("profile-hz", util::FormatDouble(obs.profile_hz, 6));
     }
   }
   const RunLimits& limits = config.limits();

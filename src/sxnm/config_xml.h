@@ -45,9 +45,9 @@ namespace sxnm::core {
 
 /// Parses a configuration document. The result is validated
 /// (Config::Validate) before being returned. Deprecated-but-accepted
-/// input (the candidate attributes `dag` and `batch-scoring`, which are
-/// parsed and ignored) appends one message per attribute to `warnings`
-/// when it is non-null.
+/// input (the candidate attributes `dag` and `batch-scoring` and the
+/// observability attribute `profile-hz`, which are parsed and ignored)
+/// appends one message per attribute to `warnings` when it is non-null.
 util::Result<Config> ConfigFromXml(const xml::Document& doc,
                                    std::vector<std::string>* warnings =
                                        nullptr);

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/profiler.h"
+#include "obs/trace.h"
 #include "util/status.h"
 
 namespace sxnm::core {

@@ -12,7 +12,6 @@
 
 #include "extsort/extsort.h"
 #include "obs/explain.h"
-#include "obs/profiler.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "persist/io.h"
@@ -444,8 +443,7 @@ void RunWindowPass(CandidateRun& run, size_t key_index, size_t shard,
   // resident), so concatenating the shard streams in shard order
   // reproduces the unsharded enumeration pair for pair.
   WindowRunResult& outcome = run.shard_outcomes[key_index][shard];
-  // Kernel-level attribution for the sampling profiler: the window
-  // enumeration plus every pair classification it triggers.
+  // The window enumeration plus every pair classification it triggers.
   obs::Tracer::Span classify_span = tracer.StartSpan("sw/classify");
   if (run.cand->window_policy == WindowPolicy::kAdaptivePrefix &&
       !plan.shrunk) {
@@ -638,6 +636,13 @@ util::Result<DetectionResult> Detector::Run(const xml::Document& doc) const {
 
 util::Result<DetectionResult> Detector::Run(const xml::Document& doc,
                                             const RunOptions& options) const {
+  // Observability: the tracer comes first so that a CPU profile covers
+  // the whole run. Profiled spans read their thread's CPU clock at start
+  // and end; the tracer never writes engine state, so output is
+  // bit-identical with profiling on or off.
+  const ObservabilityConfig& obs_cfg = config_.observability();
+  const bool profiling = !obs_cfg.profile_path.empty();
+  obs::Tracer tracer(!obs_cfg.trace_path.empty(), profiling);
   SXNM_RETURN_IF_ERROR(config_.Validate());
 
   DetectionResult result;
@@ -670,24 +675,11 @@ util::Result<DetectionResult> Detector::Run(const xml::Document& doc,
   bool cancelled = false;      // cancellation observed at a checkpoint
   bool wall_expired = false;   // cooperative deadline observed expired
 
-  // Observability: both handles live for exactly this run. Disabled
-  // instances are no-ops (every record is one branch), so the default
-  // configuration pays nothing.
-  const ObservabilityConfig& obs_cfg = config_.observability();
+  // The remaining observability handles live for exactly this run.
+  // Disabled instances are no-ops (every record is one branch), so the
+  // default configuration pays nothing.
   obs::MetricsRegistry metrics(obs_cfg.metrics);
-  const bool profiling = !obs_cfg.profile_path.empty();
-  // Span paths are tracked only when the profiler needs them; a traced
-  // but unprofiled run pays nothing extra for them.
-  obs::Tracer tracer(!obs_cfg.trace_path.empty(), profiling);
   obs::ExplainLog explain(!obs_cfg.explain_path.empty());
-  // The sampling profiler observes the span-path stacks; it never
-  // writes engine state, so output is bit-identical with it on or off.
-  obs::ProfilerOptions profiler_options;
-  profiler_options.hz = obs_cfg.profile_hz;
-  obs::Profiler profiler(profiler_options);
-  if (profiling) {
-    SXNM_RETURN_IF_ERROR(profiler.Start());
-  }
   obs::Tracer::Span run_span = tracer.StartSpan("detect");
   auto set_phase = [&metrics](obs::RunPhase phase) {
     metrics.gauge("progress.phase")
@@ -1288,12 +1280,14 @@ util::Result<DetectionResult> Detector::Run(const xml::Document& doc,
   // --- Observability export ----------------------------------------------
   run_span.End();
   if (profiling) {
-    // Stop after the run span ends (all spans popped, samples final)
-    // and before the telemetry final sample, which then reflects the
-    // fully quiesced engine. The folded file commits atomically: a
-    // crash leaves the previous profile or none, never a torn one.
-    result.profile = profiler.Stop();
-    SXNM_RETURN_IF_ERROR(result.profile.WriteFoldedFile(obs_cfg.profile_path));
+    // Folded after the run span ends, so every span has charged its
+    // CPU. The folded file commits atomically: a crash leaves the
+    // previous profile or none, never a torn one. The returned profile
+    // is folded again after the commit so that it covers the commit's
+    // CPU too (in "(unattributed)").
+    SXNM_RETURN_IF_ERROR(
+        tracer.CpuProfile().WriteFoldedFile(obs_cfg.profile_path));
+    result.profile = tracer.CpuProfile();
     if (metrics.enabled()) result.report.profile = result.profile;
   }
   if (metrics.enabled()) set_phase(obs::RunPhase::kDone);

@@ -286,12 +286,18 @@ TEST(ConfigXmlTest, DefaultsApplied) {
 }
 
 // The dag / batch-scoring candidate attributes switched comparison
-// shortcuts that no longer exist (see docs/CONFIG.md): old configs that
-// carry them still load, the values are ignored, and each attribute
-// yields one deprecation warning per document.
-std::string DagCandidateXml(const std::string& attrs) {
+// shortcuts that no longer exist, and the observability attribute
+// profile-hz set the rate of the removed sampling profiler (see
+// docs/CONFIG.md): old configs that carry them still load, the values
+// are ignored, and each attribute yields one deprecation warning per
+// document.
+std::string DagCandidateXml(const std::string& attrs,
+                            const std::string& obs_attrs = "") {
+  std::string obs;
+  if (!obs_attrs.empty()) obs = "\n  <observability " + obs_attrs + "/>";
   return R"xml(
-<sxnm-config>
+<sxnm-config>)xml" +
+         obs + R"xml(
   <candidate name="m" path="db/m" )xml" +
          attrs + R"xml(>
     <paths><path id="1" rel="t/text()"/></paths>
@@ -304,21 +310,26 @@ std::string DagCandidateXml(const std::string& attrs) {
 TEST(ConfigXmlTest, DagAndBatchScoringAttributesParse) {
   struct Case {
     const char* attrs;
+    const char* obs_attrs;
     size_t warnings;
   };
   const Case cases[] = {
-      {"", 0},
-      {"dag=\"false\"", 1},
-      {"batch-scoring=\"false\"", 1},
-      {"dag=\"true\" batch-scoring=\"false\"", 2},
+      {"", "", 0},
+      {"dag=\"false\"", "", 1},
+      {"batch-scoring=\"false\"", "", 1},
+      {"dag=\"true\" batch-scoring=\"false\"", "", 2},
       // Once rejected by validation (the pre-filter needed the fast
       // paths); with the attribute ignored there is nothing to conflict.
-      {"fast-paths=\"false\" batch-scoring=\"true\"", 1},
+      {"fast-paths=\"false\" batch-scoring=\"true\"", "", 1},
+      {"", "profile-hz=\"97\"", 1},
+      {"", "profile=\"run.folded\" profile-hz=\"997\"", 1},
+      {"dag=\"false\"", "profile-hz=\"5\"", 2},
   };
   for (const Case& c : cases) {
-    SCOPED_TRACE(c.attrs);
+    SCOPED_TRACE(std::string(c.attrs) + " | " + c.obs_attrs);
     std::vector<std::string> warnings;
-    auto config = ConfigFromXmlString(DagCandidateXml(c.attrs), &warnings);
+    auto config = ConfigFromXmlString(DagCandidateXml(c.attrs, c.obs_attrs),
+                                      &warnings);
     ASSERT_TRUE(config.ok()) << config.status().ToString();
     EXPECT_EQ(warnings.size(), c.warnings);
     for (const std::string& warning : warnings) {
@@ -327,6 +338,11 @@ TEST(ConfigXmlTest, DagAndBatchScoringAttributesParse) {
   }
   // Without a warnings sink the attributes are ignored just the same.
   EXPECT_TRUE(ConfigFromXmlString(DagCandidateXml("dag=\"false\"")).ok());
+  EXPECT_TRUE(
+      ConfigFromXmlString(DagCandidateXml("", "profile-hz=\"97\"")).ok());
+  // The value must still parse as a positive number.
+  EXPECT_FALSE(
+      ConfigFromXmlString(DagCandidateXml("", "profile-hz=\"0\"")).ok());
 }
 
 TEST(ConfigXmlTest, DagAndBatchScoringRoundTripThroughXml) {
@@ -335,6 +351,7 @@ TEST(ConfigXmlTest, DagAndBatchScoringRoundTripThroughXml) {
   // carries them, so it reloads without warnings to the same config.
   const std::string old_xml = R"xml(
 <sxnm-config>
+  <observability profile="run.folded" profile-hz="499"/>
   <candidate name="a" path="db/a" dag="true" batch-scoring="true">
     <paths><path id="1" rel="t/text()"/></paths>
     <od><entry pid="1"/></od>
@@ -350,14 +367,19 @@ TEST(ConfigXmlTest, DagAndBatchScoringRoundTripThroughXml) {
   std::vector<std::string> warnings;
   auto original = ConfigFromXmlString(old_xml, &warnings);
   ASSERT_TRUE(original.ok()) << original.status().ToString();
-  ASSERT_EQ(warnings.size(), 2u);
-  EXPECT_NE(warnings[0].find("'dag'"), std::string::npos) << warnings[0];
-  EXPECT_NE(warnings[1].find("'batch-scoring'"), std::string::npos)
-      << warnings[1];
+  ASSERT_EQ(warnings.size(), 3u);
+  EXPECT_NE(warnings[0].find("'profile-hz'"), std::string::npos)
+      << warnings[0];
+  EXPECT_NE(warnings[1].find("'dag'"), std::string::npos) << warnings[1];
+  EXPECT_NE(warnings[2].find("'batch-scoring'"), std::string::npos)
+      << warnings[2];
 
   const std::string serialized = ConfigToXmlString(original.value());
   EXPECT_EQ(serialized.find("dag="), std::string::npos) << serialized;
   EXPECT_EQ(serialized.find("batch-scoring="), std::string::npos)
+      << serialized;
+  EXPECT_EQ(serialized.find("profile-hz="), std::string::npos) << serialized;
+  EXPECT_NE(serialized.find("profile=\"run.folded\""), std::string::npos)
       << serialized;
   std::vector<std::string> rewarnings;
   auto reparsed = ConfigFromXmlString(serialized, &rewarnings);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate bench JSON output against the documented schema.
 
-Checks the schema_version-10 files produced by the benches:
+Checks the schema_version-11 files produced by the benches:
 
   * ``micro_pipeline --json BENCH_pipeline.json`` (the checked-in
     ``BENCH_pipeline.json`` at the repo root),
@@ -31,7 +31,8 @@ monotone counters, well-formed memory accounting, CPU utilization
 With ``--profile-folded-schema`` the arguments are folded-stack CPU
 profiles (``<observability profile="...">``): every line must be
 ``root;child;leaf COUNT`` with non-empty frames and a non-negative
-integer count, and the file must contain at least one stack.
+integer count (self CPU in microseconds), and the file must contain at
+least one stack.
 
 Usage:
   tools/check_bench_json.py [--min-gk-rows N] FILE [FILE ...]
@@ -50,7 +51,7 @@ violation on stderr). See docs/BENCHMARKS.md for the schema.
 import json
 import sys
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 # Counters the engine always registers (values may legitimately be 0).
 # Version 3 added the kernel fast-path counters: kg.od_pool_* (OD value
@@ -82,7 +83,12 @@ SCHEMA_VERSION = 10
 # pre-filter) together with their counters, the cache.verdict_occupancy
 # gauge, the pipeline engines' dag / batch_scoring flags, the
 # serial_dag_batch engine, the pipeline `repeated_subtree` A/B block and
-# the similarity `filters` section.
+# the similarity `filters` section. Version 11 replaced the sampling
+# profiler with exact per-span CPU time: the pipeline `profile` block
+# drops hz / backend / samples / dropped_samples and the spans'
+# self_samples / total_samples, and reports cpu_us, attributed_us and
+# per-span self_us / total_us; similarity/fig5 files carry the bump
+# only.
 REQUIRED_COUNTERS = [
     "kg.rows",
     "kg.rows_done",
@@ -454,37 +460,34 @@ class Checker:
                                    f"got {value}")
 
     def check_profile(self, doc):
-        """Validate the sampling-profiler A/B block (schema version 9).
+        """Validate the CPU-profiling A/B block (schema version 11).
 
         The same full run profiled and unprofiled: profiling must be
-        performance-isolated (<= 3% wall-clock overhead at the default
-        97 Hz) and must not change detection. The block also records
-        the span-attributed sample table of the profiled run; its top
-        self-CPU span proves samples landed in real engine spans, not
-        just the scaffolding.
+        performance-isolated (<= 3% wall-clock overhead) and must not
+        change detection. The block also records the profiled run's
+        exact per-span CPU table (microseconds); its top self-CPU span
+        proves CPU was charged to real engine spans, not just the
+        scaffolding.
         """
         block = self.require(doc, "profile", (dict,), "top-level")
         if block is None:
             return
         where = "profile"
-        hz = self.check_nonneg(block, "hz", where, types=(int, float))
-        if hz == 0:
-            self.error(where, "hz must be positive")
-        backend = self.require(block, "backend", (str,), where)
-        if backend not in (None, "sigprof", "cputime-poll"):
-            self.error(where, "backend must be 'sigprof' or "
-                              f"'cputime-poll', got {backend!r}")
         repeats = self.check_nonneg(block, "repeats", where)
         if repeats == 0:
             self.error(where, "repeats must be positive")
         self.check_nonneg(block, "clean_movies", where)
         self.check_nonneg(block, "window", where)
-        samples = self.check_nonneg(block, "samples", where)
-        if samples == 0:
+        cpu_us = self.check_nonneg(block, "cpu_us", where)
+        if cpu_us == 0:
             self.error(where,
-                       "samples is 0 — the profiled run must be long "
-                       "enough for the sampler to land ticks")
-        self.check_nonneg(block, "dropped_samples", where)
+                       "cpu_us is 0 — a profiled run must account for "
+                       "the CPU it burned")
+        attributed = self.check_nonneg(block, "attributed_us", where)
+        if None not in (cpu_us, attributed) and attributed > cpu_us:
+            self.error(where,
+                       "span-attributed CPU exceeds the process CPU: "
+                       f"attributed_us {attributed} > cpu_us {cpu_us}")
         off_s = self.check_nonneg(block, "profile_off_s", where,
                                   types=(int, float))
         on_s = self.check_nonneg(block, "profile_on_s", where,
@@ -502,7 +505,7 @@ class Checker:
             if not spans:
                 self.error(f"{where}.top_spans",
                            "must not be empty — the profile must "
-                           "attribute samples to spans")
+                           "attribute CPU to spans")
             prev_self = None
             for i, span in enumerate(spans):
                 swhere = f"{where}.top_spans[{i}]"
@@ -512,25 +515,28 @@ class Checker:
                 path = self.require(span, "path", (str,), swhere)
                 if path == "":
                     self.error(swhere, "path must be non-empty")
-                self_samples = self.check_nonneg(span, "self_samples",
-                                                 swhere)
-                total = self.check_nonneg(span, "total_samples", swhere)
-                if None not in (self_samples, total)                         and self_samples > total:
+                self_us = self.check_nonneg(span, "self_us", swhere)
+                total = self.check_nonneg(span, "total_us", swhere)
+                if None not in (self_us, total) and self_us > total:
                     self.error(swhere,
-                               "self_samples exceed total_samples: "
-                               f"{self_samples} > {total}")
-                if isinstance(self_samples, int):
-                    if isinstance(prev_self, int)                             and self_samples > prev_self:
+                               "self_us exceeds total_us: "
+                               f"{self_us} > {total}")
+                if None not in (total, cpu_us) and total > cpu_us:
+                    self.error(swhere,
+                               f"total_us {total} exceeds the process "
+                               f"CPU cpu_us {cpu_us}")
+                if isinstance(self_us, int):
+                    if isinstance(prev_self, int) and self_us > prev_self:
                         self.error(swhere,
-                                   "top_spans must be sorted by "
-                                   "self_samples descending")
-                    prev_self = self_samples
+                                   "top_spans must be sorted by self_us "
+                                   "descending")
+                    prev_self = self_us
             if spans and isinstance(spans[0], dict):
-                top_self = spans[0].get("self_samples")
+                top_self = spans[0].get("self_us")
                 if isinstance(top_self, int) and top_self == 0:
                     self.error(f"{where}.top_spans[0]",
                                "the top span must have self CPU — a "
-                               "profile with no self samples anywhere "
+                               "profile with no self CPU anywhere "
                                "attributed nothing")
         if None in (off_s, on_s, overhead) or off_s <= 0:
             return
@@ -543,8 +549,8 @@ class Checker:
                        f"({on_s} - {off_s}) / {off_s} * 100")
         if overhead > 3.0:
             self.error(where,
-                       "sampling-profiler overhead must stay within 3% "
-                       f"at the default rate, got {overhead:.2f}%")
+                       "CPU-profiling overhead must stay within 3%, "
+                       f"got {overhead:.2f}%")
 
     # --- fig5_scalability -------------------------------------------------
 
@@ -1086,11 +1092,11 @@ class FoldedChecker(Checker):
             try:
                 count = int(count_text)
             except ValueError:
-                self.error(where, f"sample count {count_text!r} is not an "
+                self.error(where, f"CPU count {count_text!r} is not an "
                                   "integer")
                 continue
             if count < 0:
-                self.error(where, f"negative sample count {count}")
+                self.error(where, f"negative CPU count {count}")
             frames = head.split(";")
             for frame in frames:
                 if not frame:
