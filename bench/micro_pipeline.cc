@@ -5,9 +5,8 @@
 // Usage:
 //   micro_pipeline [google-benchmark flags]   runs the microbenchmarks
 //   micro_pipeline --json <path>              writes the pipeline engine
-//       profile (phase timings + comparison counts for the serial legacy
-//       kernels, serial fast kernels, and multi-threaded fast kernels)
-//       to <path> instead; format in docs/BENCHMARKS.md.
+//       profile (phase timings + comparison counts at one and at four
+//       threads) to <path> instead; format in docs/BENCHMARKS.md.
 
 #include <benchmark/benchmark.h>
 
@@ -117,7 +116,6 @@ BENCHMARK(BM_CandidateForestBuild)->Arg(500)->Arg(2000);
 struct EngineVariant {
   const char* name;
   size_t num_threads;
-  bool fast_paths;
 };
 
 struct EngineProfile {
@@ -144,9 +142,6 @@ EngineProfile ProfileVariant(const sxnm::xml::Document& doc,
   sxnm::core::Config config = base_config;
   config.set_num_threads(variant.num_threads);
   config.mutable_observability().metrics = true;
-  for (auto& cand : config.mutable_candidates()) {
-    cand.enable_fast_paths = variant.fast_paths;
-  }
   sxnm::core::Detector detector(std::move(config));
 
   EngineProfile best;
@@ -381,14 +376,11 @@ int WritePipelineJson(const std::string& path) {
   sxnm::xml::Document doc = DirtyMovies(kMovies);
   auto movie_config = sxnm::datagen::MovieConfig(10).value();
 
-  // "serial_legacy" is the pre-fast-path engine: one thread, set-based
-  // descendant Jaccard, unbounded edit distances, per-pair OD
-  // normalization. The other variants isolate, in order: the kernel fast
-  // paths, and the thread scaling on top of them.
+  // The same engine at one and at four threads: the second isolates the
+  // thread scaling of the window passes.
   const EngineVariant variants[] = {
-      {"serial_legacy", 1, false},
-      {"serial_fast", 1, true},
-      {"threads4_fast", 4, true},
+      {"serial", 1},
+      {"threads4", 4},
   };
 
   std::ofstream out(path);
@@ -413,13 +405,12 @@ int WritePipelineJson(const std::string& path) {
   json.BeginArray("engines");
   for (const EngineVariant& variant : variants) {
     EngineProfile profile = ProfileVariant(doc, movie_config, variant, kRepeats);
-    if (variant.num_threads == 1 && !variant.fast_paths) baseline = profile;
+    if (variant.num_threads == 1) baseline = profile;
     last = profile;
 
     json.BeginObject();
     json.Field("name", variant.name);
     json.Field("num_threads", variant.num_threads);
-    json.Field("fast_paths", variant.fast_paths);
     json.BeginObject("phases");
     json.Field("key_generation_s", profile.kg);
     json.Field("sliding_window_s", profile.sw);
@@ -429,7 +420,7 @@ int WritePipelineJson(const std::string& path) {
     json.Field("comparisons", profile.comparisons());
     json.Field("movie_duplicate_pairs", profile.duplicate_pairs);
     if (baseline.sw > 0) {
-      json.Field("sliding_window_speedup_vs_serial_legacy",
+      json.Field("sliding_window_speedup_vs_serial",
                  baseline.sw / profile.sw);
     }
     sxnm::bench::WriteMetricsField(json, "metrics", profile.metrics);
@@ -638,7 +629,7 @@ int WritePipelineJson(const std::string& path) {
               prof_off.seconds, prof_on.seconds,
               (prof_on.seconds - prof_off.seconds) / prof_off.seconds * 100.0,
               static_cast<double>(prof_on.profile.cpu_ns) * 1e-9);
-  std::printf("SW: serial_legacy %.4fs -> threads4_fast %.4fs (%.2fx)\n",
+  std::printf("SW: serial %.4fs -> threads4 %.4fs (%.2fx)\n",
               baseline.sw, last.sw, baseline.sw / last.sw);
   return 0;
 }

@@ -343,8 +343,8 @@ util::Result<MissDiagnosis> DiagnoseMisses(const core::Config& config,
       miss.kind = MissKind::kWindowedButRejected;
       miss.pass = fn_windowed_pass[i];
       if (measure != nullptr) {
-        miss.explain = measure->Explain(gk.rows[miss.pair.first],
-                                        gk.rows[miss.pair.second]);
+        measure->Decide(gk.rows[miss.pair.first], gk.rows[miss.pair.second],
+                        &miss.explain);
         miss.has_explain = true;
       }
     } else if (fn_shed_pass[i] >= 0 || (!have_rows && any_degradation)) {
@@ -361,7 +361,7 @@ util::Result<MissDiagnosis> DiagnoseMisses(const core::Config& config,
     FalsePositivePair fp;
     fp.pair = pair;
     if (measure != nullptr) {
-      fp.explain = measure->Explain(gk.rows[pair.first], gk.rows[pair.second]);
+      measure->Decide(gk.rows[pair.first], gk.rows[pair.second], &fp.explain);
       fp.has_explain = true;
     }
     diag.false_positives.push_back(std::move(fp));

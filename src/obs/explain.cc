@@ -187,6 +187,13 @@ void ExplainLog::AppendPair(std::string_view candidate, int pass, size_t a,
   text_ += "}\n";
 }
 
+void ExplainLog::AppendLog(const ExplainLog& other) {
+  if (!enabled_) return;
+  text_ += other.text_;
+  owned_pairs_ += other.owned_pairs_;
+  prepass_pairs_ += other.prepass_pairs_;
+}
+
 void ExplainLog::AppendShed(std::string_view candidate, int pass, bool skipped,
                             size_t window_configured, size_t window_used,
                             size_t rows, size_t pairs_planned,

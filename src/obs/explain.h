@@ -4,13 +4,14 @@
 // key pass surfaced a pair, which OD components and descendant clusters
 // drove the score, and which union-find merges built each cluster.
 //
-// Determinism contract: records are appended only from the serial merge
-// points of the detector (pass merge, degradation accounting, transitive
-// closure), never from pool workers. Workers buffer raw events; the
-// merge replays them in key order, so the emitted byte stream is
-// identical for any Config::num_threads — the same guarantee the
-// counters already give. Because every append runs on one thread, the
-// log needs no locking.
+// Determinism contract: the run's log is appended to only from the serial
+// merge points of the detector (pass merge, degradation accounting,
+// transitive closure), never from pool workers. Each window-pass shard
+// writes its pair records into a log of its own; the merge concatenates
+// them in (pass, shard) order, so the emitted byte stream is identical
+// for any Config::num_threads — the same guarantee the counters already
+// give. Every log is written by one thread at a time, so none needs
+// locking.
 //
 // The obs layer stays below sxnm_core, so the records speak in
 // primitives (ordinals, strings, component indices); the detector and
@@ -52,8 +53,9 @@ struct ExplainOdComponent {
   uint32_t ref_b = 0;
   bool comparable = false;   // both sides non-empty
   bool interned_equal = false;  // equal pool ids: sim 1.0, bytes untouched
-  bool bailout = false;      // bounded edit distance pruned out
-  int64_t edit_distance = -1;   // -1 when never computed (interned/bailout)
+  bool bailout = false;      // the bounded kernel pruned out here
+  int64_t edit_distance = -1;   // -1 unless a comparable pooled "edit"
+                                // component (0 when interned_equal)
   double sim = 0.0;
 };
 
@@ -67,9 +69,9 @@ struct ExplainDescSlot {
   double jaccard = 0.0;
 };
 
-/// Full scoring breakdown of one pair comparison, produced by
-/// SimilarityMeasure::Explain. Mirrors the fast kernel's decision but
-/// keeps every intermediate the kernel is allowed to skip.
+/// Full scoring breakdown of one pair comparison, filled by
+/// SimilarityMeasure::Decide when given a trace: the kernel's own
+/// decision plus every exact intermediate the kernel is allowed to skip.
 struct PairExplain {
   std::vector<ExplainOdComponent> components;
   std::vector<ExplainDescSlot> descendants;
@@ -90,6 +92,8 @@ class ExplainLog {
   explicit ExplainLog(bool enabled) : enabled_(enabled) {}
   ExplainLog(const ExplainLog&) = delete;
   ExplainLog& operator=(const ExplainLog&) = delete;
+  ExplainLog(ExplainLog&&) = default;
+  ExplainLog& operator=(ExplainLog&&) = default;
 
   bool enabled() const { return enabled_; }
 
@@ -113,6 +117,10 @@ class ExplainLog {
                   size_t eid_a, size_t eid_b, size_t window_distance,
                   PairProvenance provenance, const PairExplain* detail,
                   bool verdict);
+
+  /// Appends `other`'s records and tallies (a window-pass shard's log, at
+  /// the merge).
+  void AppendLog(const ExplainLog& other);
 
   /// Degradation notice for one shed (skipped or shrunk) pass.
   void AppendShed(std::string_view candidate, int pass, bool skipped,

@@ -118,7 +118,7 @@ util::Result<DetectionResult> AllPairsDetector::Run(
         }
         ++cand_result.comparisons;
         SimilarityVerdict verdict =
-            measure.Compare(table.rows[i], table.rows[j]);
+            measure.Decide(table.rows[i], table.rows[j]);
         if (verdict.is_duplicate) accepted.emplace_back(i, j);
       }
     }
@@ -195,7 +195,7 @@ util::Result<DetectionResult> TopDownDetector::Run(
       if (!compared.insert(pair).second) return;
       ++cand_result.comparisons;
       SimilarityVerdict verdict =
-          measure.Compare(table.rows[pair.first], table.rows[pair.second]);
+          measure.Decide(table.rows[pair.first], table.rows[pair.second]);
       if (verdict.is_duplicate) accepted.insert(pair);
     };
 

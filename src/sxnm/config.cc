@@ -345,11 +345,6 @@ CandidateBuilder& CandidateBuilder::ExactOdPrepass(bool enable) {
   return *this;
 }
 
-CandidateBuilder& CandidateBuilder::FastPaths(bool enable) {
-  candidate_.enable_fast_paths = enable;
-  return *this;
-}
-
 CandidateBuilder& CandidateBuilder::TheoryRule(
     std::vector<std::pair<int, double>> conditions) {
   Rule rule;

@@ -140,14 +140,6 @@ struct CandidateConfig {
   /// OD similarities (and optionally the descendant similarity).
   EquationalTheory theory;
 
-  /// Comparison-kernel fast paths inside the sliding-window phase:
-  /// precomputed normalized ODs for the "edit" φ, bounded edit-distance
-  /// pruning against the classifier threshold, and sorted-vector
-  /// descendant Jaccard. They never change which pairs are accepted (the
-  /// verdict is identical up to floating-point ties ~1e-9 at the
-  /// threshold); disable only to measure their effect (bench baselines).
-  bool enable_fast_paths = true;
-
   /// Resolves a pid to its PathEntry, nullptr when absent.
   const PathEntry* FindPath(int pid) const;
 };
@@ -386,7 +378,6 @@ class CandidateBuilder {
   CandidateBuilder& Mode(CombineMode mode);
   CandidateBuilder& UseDescendants(bool use);
   CandidateBuilder& ExactOdPrepass(bool enable);
-  CandidateBuilder& FastPaths(bool enable);
   /// Adds one equational-theory rule: conditions as (pid, min_similarity)
   /// pairs; use RuleCondition::kDescendants (-1) as pid for a condition
   /// on the descendant similarity.

@@ -181,11 +181,13 @@ Result<ObservabilityConfig> ParseObservability(const Element& elem,
   return obs;
 }
 
-// Candidate attributes that once switched removed comparison shortcuts
-// (subtree interning, the batched pre-filter). Old configs that carry
-// them still load: the value must still be a boolean, but it is ignored.
-constexpr std::string_view kDeprecatedCandidateAttrs[] = {"dag",
-                                                          "batch-scoring"};
+// Candidate attributes that once switched comparison-kernel variants:
+// subtree interning and the batched pre-filter (both removed), and the
+// unbounded kernel (`fast-paths="false"`; every pair is now decided by
+// the bounded one). Old configs that carry them still load: the value
+// must still be a boolean, but it is ignored.
+constexpr std::string_view kDeprecatedCandidateAttrs[] = {
+    "dag", "batch-scoring", "fast-paths"};
 
 // `deprecated_seen[i]` is set when the candidate carries
 // kDeprecatedCandidateAttrs[i].
@@ -212,9 +214,6 @@ Result<CandidateConfig> ParseCandidate(const Element& elem,
   auto prepass = BoolAttrOr(elem, "exact-od-prepass", false);
   if (!prepass.ok()) return prepass.status();
   builder.ExactOdPrepass(prepass.value());
-  auto fast_paths = BoolAttrOr(elem, "fast-paths", true);
-  if (!fast_paths.ok()) return fast_paths.status();
-  builder.FastPaths(fast_paths.value());
   for (size_t i = 0; i < std::size(kDeprecatedCandidateAttrs); ++i) {
     if (elem.FindAttribute(kDeprecatedCandidateAttrs[i]) == nullptr) continue;
     auto ignored = BoolAttrOr(elem, kDeprecatedCandidateAttrs[i], false);
@@ -452,8 +451,8 @@ util::Result<Config> ConfigFromXml(const xml::Document& doc,
     if (deprecated_seen[i] && warnings != nullptr) {
       warnings->push_back("candidate attribute '" +
                           std::string(kDeprecatedCandidateAttrs[i]) +
-                          "' is deprecated and ignored: the comparison "
-                          "shortcut it switched was removed");
+                          "' is deprecated and ignored: the comparison-"
+                          "kernel variant it switched was removed");
     }
   }
   return config;
@@ -557,7 +556,6 @@ xml::Document ConfigToXml(const Config& config) {
                        c.use_descendants ? "true" : "false");
     cand->SetAttribute("exact-od-prepass",
                        c.exact_od_prepass ? "true" : "false");
-    cand->SetAttribute("fast-paths", c.enable_fast_paths ? "true" : "false");
     cand->SetAttribute("window-policy", WindowPolicyName(c.window_policy));
     if (c.window_policy == WindowPolicy::kAdaptivePrefix) {
       cand->SetAttribute("adaptive-prefix",

@@ -74,15 +74,13 @@ uint64_t PackPair(OrdinalPair pair) {
 
 // One windowed pair as recorded by a pass worker. Only the verdict's
 // classification survives into the merge; everything else about the
-// verdict is pair-deterministic and need not be kept. The pair is stored
+// verdict is pair-deterministic and need not be kept (the explain log's
+// record of it is written by the worker itself). The pair is stored
 // pre-packed (what the merge's dedup set keys on anyway), keeping the
 // struct at 16 bytes — every windowed pair writes one of these, so the
-// hit buffers are the largest per-pass memory stream. `distance` is the
-// pair's sort-rank gap in this pass (filled only when the explain log is
-// on).
+// hit buffers are the largest per-pass memory stream.
 struct PassHit {
   uint64_t packed;  // PackPair of the ordinal pair
-  uint32_t distance;
   bool is_duplicate;
 
   OrdinalPair pair() const {
@@ -141,6 +139,12 @@ struct CandidateRun {
   // which is what keeps the merge — and the explain byte stream —
   // bit-identical for any shard count.
   std::vector<std::vector<std::vector<PassHit>>> pass_hits;
+
+  // pass_explain[key_index * num_shards + shard]: with the explain log
+  // on, the shard's `owned` pair records, written by its worker in visit
+  // order (same owner rule as pass_hits) and concatenated in index order
+  // by the merge. Empty when explain is off.
+  std::vector<obs::ExplainLog> pass_explain;
 
   // shard_stats[key_index][shard]: each shard task's tallies, reduced
   // serially into pass_stats[key_index] (the pass's report row) after
@@ -323,19 +327,20 @@ void ComputePassOrder(CandidateRun& run, size_t key_index, bool explain_on,
 
 // One shard of one window pass: enumerates the windowed pairs whose
 // entering position falls in the shard's owned range and compares them,
-// buffering (pair, verdict) locally. Pairs already accepted by the
-// exact-OD pre-pass are skipped, exactly as the serial detector skips
-// pairs in its `compared` set; every other windowed pair goes to the
-// similarity kernel. A pair windowed by more than one key pass is
-// classified by each of them — the verdict is a pure function of the
-// pair — and the deterministic merge drops the repeats. Within one pass
-// no pair spans two shards (each pair belongs to its entering position's
-// owner), so the shard tasks share nothing but read-only state.
+// buffering (pair, verdict) locally — with the explain log on, also the
+// pair's record, carrying the trace of the same Decide call. Pairs
+// already accepted by the exact-OD pre-pass are skipped, exactly as the
+// serial detector skips pairs in its `compared` set; every other
+// windowed pair goes to the similarity kernel. A pair windowed by more
+// than one key pass is classified by each of them — the verdict is a
+// pure function of the pair — and the deterministic merge drops the
+// repeats. Within one pass no pair spans two shards (each pair belongs
+// to its entering position's owner), so the shard tasks share nothing
+// but read-only state.
 void RunWindowPass(CandidateRun& run, size_t key_index, size_t shard,
                    const util::CancellationToken& token,
                    const util::Deadline& deadline, bool interruptible,
-                   bool record_distance, obs::MetricsRegistry& metrics,
-                   obs::Tracer& tracer) {
+                   obs::MetricsRegistry& metrics, obs::Tracer& tracer) {
   const PassPlan& plan = run.plans[key_index];
   if (plan.skip) return;
   if (util::FaultInjector::Instance().ShouldFail("detector.pass")) {
@@ -369,7 +374,12 @@ void RunWindowPass(CandidateRun& run, size_t key_index, size_t shard,
   // array, built only when explain is on — the classification hot path
   // allocates nothing extra otherwise.
   std::vector<uint32_t> inv_rank;
-  if (record_distance) {
+  obs::ExplainLog* explain_log = nullptr;
+  obs::PairExplain trace;
+  const std::vector<xml::ElementId>& eids = run.instances->eids;
+  if (!run.pass_explain.empty()) {
+    explain_log =
+        &run.pass_explain[key_index * run.shard_plan.size() + shard];
     inv_rank.resize(order.size());
     for (size_t i = 0; i < order.size(); ++i) {
       inv_rank[order[i]] = static_cast<uint32_t>(i);
@@ -402,8 +412,9 @@ void RunWindowPass(CandidateRun& run, size_t key_index, size_t shard,
 
   // One pair classification: the similarity kernel plus its tallies.
   auto classify = [&](OrdinalPair pair) -> bool {
-    SimilarityVerdict verdict = run.measure->CompareFast(
-        table.rows[pair.first], table.rows[pair.second]);
+    SimilarityVerdict verdict =
+        run.measure->Decide(table.rows[pair.first], table.rows[pair.second],
+                            explain_log != nullptr ? &trace : nullptr);
     ++stats.comparisons;
     if (verdict.is_duplicate) ++stats.hits;
     if (verdict.pruned) ++stats.ed_bailouts;
@@ -428,13 +439,17 @@ void RunWindowPass(CandidateRun& run, size_t key_index, size_t shard,
       ++stats.prepass_skips;
       return;
     }
-    uint32_t distance = 0;
-    if (record_distance) {
+    bool is_duplicate = classify(pair);
+    hits.push_back({PackPair(pair), is_duplicate});
+    if (explain_log != nullptr) {
       uint32_t ra = inv_rank[a];
       uint32_t rb = inv_rank[b];
-      distance = ra > rb ? ra - rb : rb - ra;
+      explain_log->AppendPair(
+          run.cand->name, static_cast<int>(key_index), pair.first,
+          pair.second, static_cast<size_t>(eids[pair.first]),
+          static_cast<size_t>(eids[pair.second]), ra > rb ? ra - rb : rb - ra,
+          obs::PairProvenance::kOwned, &trace, is_duplicate);
     }
-    hits.push_back({PackPair(pair), distance, classify(pair)});
   };
   // A shrunk boundary pass always runs the plain fixed window: adaptive
   // extension would overrun the budget it was shrunk to fit. Only the
@@ -566,13 +581,20 @@ void EmitCandidateExplain(const CandidateRun& run, int depth,
 // flat hash set, so the accepted pairs, their order, and the comparison
 // count are those of the serial single-pass-at-a-time detector no matter
 // how the passes were interleaved across threads. With the explain log
-// on, every pass hit becomes one `owned` pair record (each pass ran the
-// kernel on it) with the full scoring breakdown recomputed exactly, so
-// the record counts reconcile with sw.comparisons / sw.prepass_pairs and
-// the byte stream is identical for any num_threads.
+// on, the workers' `owned` pair records (one per pass hit: each pass ran
+// the kernel on it) follow the candidate's header in (pass, shard, visit)
+// order, so the record counts reconcile with sw.comparisons /
+// sw.prepass_pairs and the byte stream is identical for any num_threads
+// and shard count.
 void MergePasses(CandidateRun& run, CandidateResult& result, int depth,
                  obs::MetricsRegistry& metrics, obs::ExplainLog& explain) {
-  if (explain.enabled()) EmitCandidateExplain(run, depth, explain);
+  if (explain.enabled()) {
+    EmitCandidateExplain(run, depth, explain);
+    for (const obs::ExplainLog& shard_log : run.pass_explain) {
+      explain.AppendLog(shard_log);
+    }
+    run.pass_explain.clear();
+  }
 
   util::FlatU64Set seen = run.prepass_pairs;
   std::vector<OrdinalPair> accepted = run.prepass_accepted;
@@ -582,7 +604,6 @@ void MergePasses(CandidateRun& run, CandidateResult& result, int depth,
   }
   seen.Reserve(seen.size() + total_hits);
 
-  const std::vector<xml::ElementId>& eids = run.instances->eids;
   // Reserve() above sized `seen` for every hit, so no rehash happens
   // mid-merge and prefetched slots stay valid.
   constexpr size_t kMergeLookahead = 16;
@@ -596,18 +617,7 @@ void MergePasses(CandidateRun& run, CandidateResult& result, int depth,
           seen.PrefetchKey(pass[idx + kMergeLookahead].packed);
         }
         const PassHit& hit = pass[idx];
-        uint64_t packed = hit.packed;
-        if (explain.enabled()) {
-          auto [a, b] = hit.pair();
-          obs::PairExplain detail =
-              run.measure->Explain(run.table->rows[a], run.table->rows[b]);
-          explain.AppendPair(run.cand->name, static_cast<int>(k), a, b,
-                             static_cast<size_t>(eids[a]),
-                             static_cast<size_t>(eids[b]), hit.distance,
-                             obs::PairProvenance::kOwned, &detail,
-                             hit.is_duplicate);
-        }
-        if (!seen.Insert(packed)) continue;
+        if (!seen.Insert(hit.packed)) continue;
         ++result.comparisons;
         if (hit.is_duplicate) accepted.push_back(hit.pair());
       }
@@ -718,8 +728,12 @@ util::Result<DetectionResult> Detector::Run(const xml::Document& doc,
   EngineSnapshot resume;
   bool resumed = false;
   if (checkpointing) {
+    // Its own span: the document hash walks the whole DOM.
+    obs::Tracer::Span fingerprint_span =
+        tracer.StartSpan("checkpoint_fingerprint");
     ckpt_fingerprint.config_fingerprint = ConfigFingerprint(config_);
     ckpt_fingerprint.doc_fingerprint = DocumentFingerprint(doc);
+    fingerprint_span.End();
     ckpt_fingerprint.metrics_enabled = metrics.enabled();
     ckpt_fingerprint.explain_enabled = explain.enabled();
     obs::Tracer::Span load_span = tracer.StartSpan("checkpoint_load");
@@ -1009,6 +1023,11 @@ util::Result<DetectionResult> Detector::Run(const xml::Document& doc,
       run.pass_orders.resize(num_keys);
       run.pass_hits.assign(num_keys,
                            std::vector<std::vector<PassHit>>(num_shards));
+      if (explain.enabled()) {
+        for (size_t i = 0; i < num_keys * num_shards; ++i) {
+          run.pass_explain.emplace_back(true);
+        }
+      }
       run.shard_stats.assign(num_keys, std::vector<PassStats>(num_shards));
       run.pass_stats.resize(num_keys);
       run.plans.resize(num_keys);
@@ -1103,7 +1122,7 @@ util::Result<DetectionResult> Detector::Run(const xml::Document& doc,
     util::ParallelFor(shard_tasks.size(), num_threads, [&](size_t i) {
       auto [r, key_index, s] = shard_tasks[i];
       RunWindowPass(runs[r], key_index, s, token, deadline, interruptible,
-                    explain.enabled(), metrics, tracer);
+                    metrics, tracer);
     });
     for (const CandidateRun& run : runs) {
       for (const auto& per_key : run.shard_status) {

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
+#include <cmath>
 #include <string_view>
 
 #include "text/edit_distance.h"
+#include "text/myers.h"
 
 namespace sxnm::core {
 
@@ -36,11 +37,10 @@ SimilarityMeasure::SimilarityMeasure(
     const CandidateConfig& config, const CandidateInstances& instances,
     std::vector<const ClusterSet*> child_cluster_sets, const OdPool* od_pool)
     : config_(config),
-      instances_(instances),
       child_cluster_sets_(std::move(child_cluster_sets)),
       od_pool_(od_pool) {
   assert(child_cluster_sets_.empty() ||
-         child_cluster_sets_.size() == instances_.child_types.size());
+         child_cluster_sets_.size() == instances.child_types.size());
 
   // The l_e lists of Def. 3 as sorted unique cluster-ID vectors, built
   // once per candidate instead of once per compared pair.
@@ -48,7 +48,7 @@ SimilarityMeasure::SimilarityMeasure(
   for (size_t slot = 0; slot < child_cluster_sets_.size(); ++slot) {
     const ClusterSet* clusters = child_cluster_sets_[slot];
     if (clusters == nullptr) continue;
-    const auto& per_instance = instances_.desc_instances[slot];
+    const auto& per_instance = instances.desc_instances[slot];
     desc_cids_[slot].resize(per_instance.size());
     for (size_t ordinal = 0; ordinal < per_instance.size(); ++ordinal) {
       std::vector<int>& cids = desc_cids_[slot][ordinal];
@@ -69,9 +69,7 @@ double SimilarityMeasure::ComponentSimilarity(const GkRow& a, const GkRow& b,
                                               size_t i, double min_sim,
                                               bool* pruned_out,
                                               size_t* interned_out) const {
-  if (config_.enable_fast_paths && od_is_norm_edit_[i] && od_pool_ != nullptr &&
-      a.norm_ods.size() == a.ods.size() &&
-      b.norm_ods.size() == b.ods.size()) {
+  if (od_is_norm_edit_[i] && Pooled(a, b)) {
     const OdRef ra = a.norm_ods[i];
     const OdRef rb = b.norm_ods[i];
     if (ra.id == rb.id) {
@@ -95,14 +93,18 @@ double SimilarityMeasure::OdSimilarity(const GkRow& a, const GkRow& b) const {
   // components — the paper's "comparisons were then only performed on
   // 'readable' attributes" behaviour. A value present on one side only
   // still counts (as dissimilarity evidence).
-  return OdSimilarityBounded(a, b, /*min_required=*/0.0, nullptr);
+  bool pruned = false;
+  return OdSimilarityBounded<false>(a, b, /*min_required=*/0.0, &pruned,
+                                    nullptr, nullptr);
 }
 
+template <bool kTraced>
 double SimilarityMeasure::OdSimilarityBounded(const GkRow& a, const GkRow& b,
                                               double min_required,
                                               bool* pruned_out,
-                                              size_t* interned_out) const {
-  if (pruned_out != nullptr) *pruned_out = false;
+                                              size_t* interned_out,
+                                              obs::PairExplain* trace) const {
+  *pruned_out = false;
 
   double total_weight = 0.0;
   for (size_t i = 0; i < config_.od.size(); ++i) {
@@ -113,9 +115,18 @@ double SimilarityMeasure::OdSimilarityBounded(const GkRow& a, const GkRow& b,
 
   double sim = 0.0;
   double remaining = total_weight;
+  double bound = 0.0;      // traced: the upper bound at the bail-out point
+  double exact_sum = 0.0;  // traced: the exact weighted sum
   for (size_t i = 0; i < config_.od.size(); ++i) {
     const OdEntry& od = config_.od[i];
     if (a.ods[i].empty() && b.ods[i].empty()) continue;
+    if constexpr (kTraced) {
+      if (*pruned_out) {
+        // Past the bail-out point: scored for the trace only.
+        exact_sum += od.relevance * TraceComponent(a, b, i, 0.0, false, trace);
+        continue;
+      }
+    }
     remaining -= od.relevance;
 
     // Smallest value this component may take while the pair can still
@@ -131,40 +142,38 @@ double SimilarityMeasure::OdSimilarityBounded(const GkRow& a, const GkRow& b,
     double s = ComponentSimilarity(a, b, i, comp_min, &comp_pruned,
                                    interned_out);
     sim += od.relevance * s;
+    if constexpr (kTraced) {
+      exact_sum +=
+          od.relevance * TraceComponent(a, b, i, s, !comp_pruned, trace);
+    }
 
     if (min_required > 0.0) {
       double upper_bound = (sim + remaining) / total_weight;
       if (comp_pruned || upper_bound < min_required) {
         // `s` may itself be an upper bound when comp_pruned; either way
         // the true OD similarity cannot reach min_required anymore.
-        if (pruned_out != nullptr) *pruned_out = true;
-        return upper_bound;
+        *pruned_out = true;
+        if constexpr (!kTraced) {
+          return upper_bound;
+        } else {
+          trace->components[i].bailout = true;
+          bound = upper_bound;
+        }
       }
     }
+  }
+  if constexpr (kTraced) {
+    trace->od_valid = true;
+    trace->od_sim = exact_sum / total_weight;
+    if (*pruned_out) return bound;
   }
   return sim / total_weight;
 }
 
-std::vector<double> SimilarityMeasure::ComponentSimilarities(
-    const GkRow& a, const GkRow& b) const {
-  std::vector<double> sims;
-  sims.reserve(config_.od.size());
-  for (size_t i = 0; i < config_.od.size(); ++i) {
-    if (a.ods[i].empty() && b.ods[i].empty()) {
-      sims.push_back(0.0);
-    } else {
-      sims.push_back(ComponentSimilarity(a, b, i, /*min_sim=*/0.0, nullptr));
-    }
-  }
-  return sims;
-}
-
-double SimilarityMeasure::DescendantSimilarity(size_t ordinal_a,
-                                               size_t ordinal_b) const {
+double SimilarityMeasure::DescendantSimilarity(
+    size_t ordinal_a, size_t ordinal_b,
+    std::vector<obs::ExplainDescSlot>* slots) const {
   if (child_cluster_sets_.empty()) return -1.0;
-  if (!config_.enable_fast_paths) {
-    return DescendantSimilaritySetBased(ordinal_a, ordinal_b);
-  }
 
   double sum = 0.0;
   size_t comparable_types = 0;
@@ -173,51 +182,22 @@ double SimilarityMeasure::DescendantSimilarity(size_t ordinal_a,
     if (child_cluster_sets_[slot] == nullptr) continue;
     const std::vector<int>& cids_a = desc_cids_[slot][ordinal_a];
     const std::vector<int>& cids_b = desc_cids_[slot][ordinal_b];
-    if (cids_a.empty() && cids_b.empty()) continue;  // nothing to compare
-
     size_t overlap = SortedOverlap(cids_a, cids_b);
     size_t unions = cids_a.size() + cids_b.size() - overlap;
     double phi_desc =
         unions == 0 ? 0.0
                     : static_cast<double>(overlap) / static_cast<double>(unions);
+    if (slots != nullptr) {
+      slots->push_back(
+          {slot, cids_a.size(), cids_b.size(), overlap, unions, phi_desc});
+    }
+    if (unions == 0) continue;  // both lists empty: nothing to compare
     sum += phi_desc;
     ++comparable_types;
   }
 
   if (comparable_types == 0) return -1.0;
   return sum / static_cast<double>(comparable_types);  // agg() = average
-}
-
-double SimilarityMeasure::DescendantSimilaritySetBased(
-    size_t ordinal_a, size_t ordinal_b) const {
-  double sum = 0.0;
-  size_t comparable_types = 0;
-
-  for (size_t slot = 0; slot < child_cluster_sets_.size(); ++slot) {
-    const ClusterSet* clusters = child_cluster_sets_[slot];
-    if (clusters == nullptr) continue;
-    const auto& per_instance = instances_.desc_instances[slot];
-    const std::vector<size_t>& desc_a = per_instance[ordinal_a];
-    const std::vector<size_t>& desc_b = per_instance[ordinal_b];
-    if (desc_a.empty() && desc_b.empty()) continue;  // nothing to compare
-
-    // l_e lists of Def. 3, as cluster-ID sets.
-    std::set<int> cids_a, cids_b;
-    for (size_t d : desc_a) cids_a.insert(clusters->cid(d));
-    for (size_t d : desc_b) cids_b.insert(clusters->cid(d));
-
-    size_t overlap = 0;
-    for (int cid : cids_a) overlap += cids_b.count(cid);
-    size_t unions = cids_a.size() + cids_b.size() - overlap;
-    double phi_desc =
-        unions == 0 ? 0.0
-                    : static_cast<double>(overlap) / static_cast<double>(unions);
-    sum += phi_desc;
-    ++comparable_types;
-  }
-
-  if (comparable_types == 0) return -1.0;
-  return sum / static_cast<double>(comparable_types);
 }
 
 double SimilarityMeasure::MinUsefulOd(bool desc_possible) const {
@@ -247,33 +227,105 @@ double SimilarityMeasure::MinUsefulOd(bool desc_possible) const {
   return std::max(0.0, m - 1e-9);
 }
 
-SimilarityVerdict SimilarityMeasure::Compare(const GkRow& a,
-                                             const GkRow& b) const {
-  return CompareImpl(a, b, /*bounded=*/false);
+double SimilarityMeasure::Combine(double od, double desc) const {
+  const ClassifierConfig& cls = config_.classifier;
+  switch (cls.mode) {
+    case CombineMode::kOdOnly:
+    case CombineMode::kDescGate:
+      return od;
+    case CombineMode::kAverage:
+      return 0.5 * (od + desc);
+    case CombineMode::kWeighted:
+      return cls.od_weight * od + (1.0 - cls.od_weight) * desc;
+    case CombineMode::kDescBoost:
+      // The paper's Experiment set 3 reading: a descendant overlap above
+      // the descendants threshold means the children sets are similar
+      // (full credit), compensating the harsh Jaccard of non-overlapping
+      // children.
+      return 0.5 * (od + (desc >= cls.desc_threshold ? 1.0 : desc));
+  }
+  return od;
 }
 
-SimilarityVerdict SimilarityMeasure::CompareFast(const GkRow& a,
-                                                 const GkRow& b) const {
-  return CompareImpl(a, b, /*bounded=*/config_.enable_fast_paths);
+void SimilarityMeasure::StartTrace(const GkRow& a, const GkRow& b,
+                                   obs::PairExplain* trace) const {
+  *trace = obs::PairExplain();
+  trace->threshold = config_.classifier.od_threshold;
+  const bool pooled = Pooled(a, b);
+  trace->components.resize(config_.od.size());
+  for (size_t i = 0; i < config_.od.size(); ++i) {
+    obs::ExplainOdComponent& comp = trace->components[i];
+    comp.index = i;
+    comp.weight = config_.od[i].relevance;
+    comp.comparable = !(a.ods[i].empty() && b.ods[i].empty());
+    comp.ref_a = pooled ? a.norm_ods[i].id : 0;
+    comp.ref_b = pooled ? b.norm_ods[i].id : 0;
+    const bool pooled_edit = pooled && od_is_norm_edit_[i];
+    comp.value_a = pooled_edit ? od_pool_->View(a.norm_ods[i]) : a.ods[i];
+    comp.value_b = pooled_edit ? od_pool_->View(b.norm_ods[i]) : b.ods[i];
+  }
 }
 
-SimilarityVerdict SimilarityMeasure::CompareImpl(const GkRow& a,
-                                                 const GkRow& b,
-                                                 bool bounded) const {
+double SimilarityMeasure::TraceComponent(const GkRow& a, const GkRow& b,
+                                         size_t i, double sim, bool sim_exact,
+                                         obs::PairExplain* trace) const {
+  obs::ExplainOdComponent& comp = trace->components[i];
+  if (!sim_exact) {
+    // Trace-only scoring is not kernel work: keep it out of the thread's
+    // Myers tallies, which text.myers_words reads per window pass.
+    const text::MyersStats myers = text::ThreadMyersStats();
+    sim = ComponentSimilarity(a, b, i, /*min_sim=*/0.0, nullptr);
+    text::ThreadMyersStats() = myers;
+  }
+  comp.sim = sim;
+  if (od_is_norm_edit_[i] && Pooled(a, b)) {
+    // The exact φ^edit is 1 - distance / max(|a|, |b|), so the distance
+    // is recovered from it exactly, without another DP.
+    comp.interned_equal = a.norm_ods[i].id == b.norm_ods[i].id;
+    const uint32_t longest =
+        std::max(a.norm_ods[i].length, b.norm_ods[i].length);
+    comp.edit_distance =
+        std::llround((1.0 - sim) * static_cast<double>(longest));
+  }
+  return sim;
+}
+
+SimilarityVerdict SimilarityMeasure::Decide(const GkRow& a, const GkRow& b,
+                                            obs::PairExplain* trace) const {
+  return trace == nullptr ? DecideImpl<false>(a, b, nullptr)
+                          : DecideImpl<true>(a, b, trace);
+}
+
+template <bool kTraced>
+SimilarityVerdict SimilarityMeasure::DecideImpl(
+    const GkRow& a, const GkRow& b, obs::PairExplain* trace) const {
   const ClassifierConfig& cls = config_.classifier;
   SimilarityVerdict verdict;
+  double trace_desc = -1.0;  // traced: the exact descendant similarity
+  if constexpr (kTraced) {
+    StartTrace(a, b, trace);
+    if (config_.use_descendants) {
+      trace_desc =
+          DescendantSimilarity(a.ordinal, b.ordinal, &trace->descendants);
+    }
+  }
 
   if (!config_.theory.empty()) {
     // Equational theory replaces the threshold classification (Sec. 5).
     // Rules read the per-component similarities, so OD pruning does not
     // apply; the OD similarity is derived from the same component values
-    // (identical arithmetic to OdSimilarity).
-    std::vector<double> comp = ComponentSimilarities(a, b);
+    // (identical arithmetic to OdSimilarity). Components missing on both
+    // sides stay 0.0 (a rule condition on such a component fails).
+    std::vector<double> comp(config_.od.size(), 0.0);
     double sim = 0.0, weight = 0.0;
     for (size_t i = 0; i < config_.od.size(); ++i) {
       if (a.ods[i].empty() && b.ods[i].empty()) continue;
+      comp[i] = ComponentSimilarity(a, b, i, /*min_sim=*/0.0, nullptr);
       sim += config_.od[i].relevance * comp[i];
       weight += config_.od[i].relevance;
+      if constexpr (kTraced) {
+        TraceComponent(a, b, i, comp[i], /*sim_exact=*/true, trace);
+      }
     }
     verdict.od_sim = weight > 0.0 ? sim / weight : 0.0;
 
@@ -292,6 +344,15 @@ SimilarityVerdict SimilarityMeasure::CompareImpl(const GkRow& a,
     for (const OdEntry& od : config_.od) od_pids.push_back(od.pid);
     verdict.combined = verdict.od_sim;
     verdict.is_duplicate = config_.theory.Fires(comp, od_pids, desc);
+    if constexpr (kTraced) {
+      // The score facing the user is the OD similarity; whether the
+      // rules fired is recorded explicitly.
+      trace->od_valid = weight > 0.0;
+      trace->od_sim = trace->score = verdict.od_sim;
+      trace->desc_valid = verdict.used_descendants;
+      trace->desc_sim = verdict.desc_sim;
+      trace->theory_equal = verdict.is_duplicate;
+    }
     return verdict;
   }
 
@@ -299,276 +360,61 @@ SimilarityVerdict SimilarityMeasure::CompareImpl(const GkRow& a,
                        !child_cluster_sets_.empty() &&
                        cls.mode != CombineMode::kOdOnly;
 
-  double min_od = bounded ? MinUsefulOd(desc_possible) : 0.0;
   bool pruned = false;
-  double od = OdSimilarityBounded(a, b, min_od, &pruned,
-                                  &verdict.interned_equal);
-  verdict.od_sim = od;
-  if (pruned) {
-    // Even the upper bound stays below every branch's requirement: not a
-    // duplicate, whatever the descendants say.
-    verdict.combined = od;
-    verdict.pruned = true;
-    return verdict;
+  double od = OdSimilarityBounded<kTraced>(
+      a, b, MinUsefulOd(desc_possible), &pruned, &verdict.interned_equal,
+      trace);
+  if constexpr (kTraced) {
+    // The exact score, whatever the shortcuts below skip.
+    if (desc_possible) {
+      trace->desc_valid = trace_desc >= 0.0;
+      trace->desc_sim = trace->desc_valid ? trace_desc : 0.0;
+    }
+    trace->score = trace->desc_valid ? Combine(trace->od_sim, trace->desc_sim)
+                                     : trace->od_sim;
   }
 
-  if (!desc_possible) {
-    // Leaf candidate, descendants disabled, or OD-only mode: classify on
-    // the object description alone.
-    verdict.combined = od;
-    verdict.is_duplicate = od >= cls.od_threshold;
-    return verdict;
-  }
+  // The verdict on the object description alone. It is final when pruned
+  // (even the upper bound stays below every branch's requirement, whatever
+  // the descendants say) and for a leaf candidate, with descendants
+  // disabled, or in OD-only mode.
+  const double t = cls.od_threshold;
+  verdict.od_sim = verdict.combined = od;
+  verdict.pruned = pruned;
+  verdict.is_duplicate = !pruned && od >= t;
+  if (pruned || !desc_possible) return verdict;
 
   // Descendant short-circuit: skip the Jaccard when every possible value
   // (including "no descendant info", which falls back to the plain OD
-  // threshold) yields the same verdict. The bounds are evaluated with the
-  // same formulas as the exact combination below, so floating-point
-  // monotonicity keeps the classification identical.
-  double t = cls.od_threshold;
-  switch (cls.mode) {
-    case CombineMode::kOdOnly:
-      break;  // unreachable: desc_possible excludes kOdOnly
-    case CombineMode::kAverage:
-    case CombineMode::kDescBoost:
-      if (0.5 * (od + 1.0) < t && od < t) {
-        verdict.combined = od;
-        verdict.desc_short_circuit = true;
-        return verdict;  // reject in every branch
-      }
-      if (0.5 * od >= t && od >= t) {
-        verdict.combined = od;
-        verdict.is_duplicate = true;
-        verdict.desc_short_circuit = true;
-        return verdict;  // accept in every branch
-      }
-      break;
-    case CombineMode::kWeighted: {
-      double w = cls.od_weight;
-      if (w * od + (1.0 - w) < t && od < t) {
-        verdict.combined = od;
-        verdict.desc_short_circuit = true;
-        return verdict;
-      }
-      if (w * od >= t && od >= t) {
-        verdict.combined = od;
-        verdict.is_duplicate = true;
-        verdict.desc_short_circuit = true;
-        return verdict;
-      }
-      break;
-    }
-    case CombineMode::kDescGate:
-      if (od < t) {
-        verdict.combined = od;
-        verdict.desc_short_circuit = true;
-        return verdict;  // the gate can only veto, never rescue
-      }
-      break;
+  // threshold) yields the same verdict. Combine is monotone in the
+  // descendant similarity, so its values at 0 and 1 bound every branch,
+  // and they are evaluated with the same formula as the exact
+  // combination below, so floating-point monotonicity keeps the
+  // classification identical. The kDescGate gate can only veto, never
+  // rescue, so it never accepts early.
+  if ((Combine(od, 1.0) < t && od < t) ||
+      (cls.mode != CombineMode::kDescGate && Combine(od, 0.0) >= t &&
+       od >= t)) {
+    verdict.desc_short_circuit = true;
+    return verdict;
   }
 
   double desc = DescendantSimilarity(a.ordinal, b.ordinal);
   verdict.desc_evaluated = true;
-  verdict.used_descendants = desc >= 0.0;
-  verdict.desc_sim = verdict.used_descendants ? desc : 0.0;
+  // No descendant info for the pair: the OD-alone verdict stands.
+  if (desc < 0.0) return verdict;
 
-  if (!verdict.used_descendants) {
-    // No descendant info for the pair: classify on the object
-    // description alone.
-    verdict.combined = od;
-    verdict.is_duplicate = od >= t;
-    return verdict;
-  }
-
-  switch (cls.mode) {
-    case CombineMode::kOdOnly:
-      verdict.combined = od;
-      break;
-    case CombineMode::kAverage:
-      verdict.combined = 0.5 * (od + verdict.desc_sim);
-      break;
-    case CombineMode::kWeighted:
-      verdict.combined =
-          cls.od_weight * od + (1.0 - cls.od_weight) * verdict.desc_sim;
-      break;
-    case CombineMode::kDescBoost: {
-      // The paper's Experiment set 3 reading: a descendant overlap above
-      // the descendants threshold means the children sets are similar
-      // (full credit), compensating the harsh Jaccard of non-overlapping
-      // children.
-      double boosted =
-          verdict.desc_sim >= cls.desc_threshold ? 1.0 : verdict.desc_sim;
-      verdict.combined = 0.5 * (od + boosted);
-      break;
-    }
-    case CombineMode::kDescGate:
-      // The OD decides; descendants act as a veto: real duplicates share
-      // at least a small fraction of their children's clusters, whereas
-      // confusers (e.g. series CDs with disjoint track lists) do not.
-      verdict.combined = od;
-      verdict.is_duplicate =
-          od >= t && verdict.desc_sim >= cls.desc_threshold;
-      return verdict;
-  }
-  verdict.is_duplicate = verdict.combined >= t;
+  verdict.used_descendants = true;
+  verdict.desc_sim = desc;
+  verdict.combined = Combine(od, desc);
+  // Under kDescGate the OD decides and descendants act as a veto: real
+  // duplicates share at least a small fraction of their children's
+  // clusters, whereas confusers (e.g. series CDs with disjoint track
+  // lists) do not.
+  verdict.is_duplicate = cls.mode == CombineMode::kDescGate
+                             ? od >= t && desc >= cls.desc_threshold
+                             : verdict.combined >= t;
   return verdict;
-}
-
-obs::PairExplain SimilarityMeasure::Explain(const GkRow& a,
-                                            const GkRow& b) const {
-  const ClassifierConfig& cls = config_.classifier;
-  obs::PairExplain out;
-  out.threshold = cls.od_threshold;
-
-  const bool pooled = od_pool_ != nullptr &&
-                      a.norm_ods.size() == a.ods.size() &&
-                      b.norm_ods.size() == b.ods.size();
-
-  // Exact per-component detail. The explain path never prunes: every
-  // comparable component gets its true similarity and (for the edit φ
-  // with interned normalized values) its true edit distance.
-  double weighted_sim = 0.0;
-  double total_weight = 0.0;
-  out.components.reserve(config_.od.size());
-  for (size_t i = 0; i < config_.od.size(); ++i) {
-    obs::ExplainOdComponent comp;
-    comp.index = i;
-    comp.weight = config_.od[i].relevance;
-    comp.comparable = !(a.ods[i].empty() && b.ods[i].empty());
-    const bool edit_entry = pooled && od_is_norm_edit_[i];
-    if (pooled) {
-      comp.ref_a = a.norm_ods[i].id;
-      comp.ref_b = b.norm_ods[i].id;
-    }
-    if (edit_entry) {
-      comp.value_a = std::string(od_pool_->View(a.norm_ods[i]));
-      comp.value_b = std::string(od_pool_->View(b.norm_ods[i]));
-    } else {
-      comp.value_a = a.ods[i];
-      comp.value_b = b.ods[i];
-    }
-    if (comp.comparable) {
-      comp.interned_equal = edit_entry && a.norm_ods[i].id == b.norm_ods[i].id;
-      if (edit_entry) {
-        comp.edit_distance =
-            comp.interned_equal
-                ? 0
-                : static_cast<int64_t>(text::LevenshteinDistance(
-                      od_pool_->View(a.norm_ods[i]),
-                      od_pool_->View(b.norm_ods[i])));
-      }
-      comp.sim = ComponentSimilarity(a, b, i, /*min_sim=*/0.0, nullptr);
-      weighted_sim += comp.weight * comp.sim;
-      total_weight += comp.weight;
-    }
-    out.components.push_back(std::move(comp));
-  }
-  out.od_valid = total_weight > 0.0;
-  out.od_sim = out.od_valid ? weighted_sim / total_weight : 0.0;
-
-  const bool desc_possible = config_.use_descendants &&
-                             !child_cluster_sets_.empty() &&
-                             cls.mode != CombineMode::kOdOnly;
-
-  // Replay the bounded kernel's pruning decision to flag where the
-  // sliding window would have bailed out (purely informational; the
-  // similarities above stay exact).
-  if (config_.enable_fast_paths && config_.theory.empty()) {
-    double min_required = MinUsefulOd(desc_possible);
-    if (min_required > 0.0) {
-      double sim = 0.0;
-      double remaining = total_weight;
-      for (size_t i = 0; i < config_.od.size(); ++i) {
-        if (a.ods[i].empty() && b.ods[i].empty()) continue;
-        const OdEntry& od = config_.od[i];
-        remaining -= od.relevance;
-        double comp_min = 0.0;
-        double needed = min_required * total_weight - sim - remaining;
-        if (needed > 0.0) comp_min = needed / od.relevance;
-        bool comp_pruned = false;
-        double s = ComponentSimilarity(a, b, i, comp_min, &comp_pruned);
-        sim += od.relevance * s;
-        double upper_bound =
-            total_weight > 0.0 ? (sim + remaining) / total_weight : 0.0;
-        if (comp_pruned || upper_bound < min_required) {
-          out.components[i].bailout = true;
-          break;
-        }
-      }
-    }
-  }
-
-  // Descendant detail: one slot per child type with a cluster set, with
-  // the multiset sizes, intersection, and union behind the Jaccard.
-  if (config_.use_descendants) {
-    for (size_t slot = 0; slot < child_cluster_sets_.size(); ++slot) {
-      if (child_cluster_sets_[slot] == nullptr) continue;
-      obs::ExplainDescSlot d;
-      d.child = slot;
-      const std::vector<int>& cids_a = desc_cids_[slot][a.ordinal];
-      const std::vector<int>& cids_b = desc_cids_[slot][b.ordinal];
-      d.size_a = cids_a.size();
-      d.size_b = cids_b.size();
-      d.intersection = SortedOverlap(cids_a, cids_b);
-      d.union_size = d.size_a + d.size_b - d.intersection;
-      d.jaccard = d.union_size == 0
-                      ? 0.0
-                      : static_cast<double>(d.intersection) /
-                            static_cast<double>(d.union_size);
-      out.descendants.push_back(d);
-    }
-  }
-
-  if (!config_.theory.empty()) {
-    // Theory classification: the score facing the user is the OD
-    // similarity; whether the rules fired is recorded explicitly.
-    std::vector<double> comp = ComponentSimilarities(a, b);
-    double desc = -1.0;
-    if (config_.use_descendants && config_.theory.UsesDescendants()) {
-      desc = DescendantSimilarity(a.ordinal, b.ordinal);
-    }
-    out.desc_valid = desc >= 0.0;
-    out.desc_sim = out.desc_valid ? desc : 0.0;
-    std::vector<int> od_pids;
-    od_pids.reserve(config_.od.size());
-    for (const OdEntry& od : config_.od) od_pids.push_back(od.pid);
-    out.theory_equal = config_.theory.Fires(comp, od_pids, desc);
-    out.score = out.od_sim;
-    return out;
-  }
-
-  if (!desc_possible) {
-    out.score = out.od_sim;
-    return out;
-  }
-
-  double desc = DescendantSimilarity(a.ordinal, b.ordinal);
-  out.desc_valid = desc >= 0.0;
-  out.desc_sim = out.desc_valid ? desc : 0.0;
-  if (!out.desc_valid) {
-    out.score = out.od_sim;
-    return out;
-  }
-  switch (cls.mode) {
-    case CombineMode::kOdOnly:
-    case CombineMode::kDescGate:
-      out.score = out.od_sim;
-      break;
-    case CombineMode::kAverage:
-      out.score = 0.5 * (out.od_sim + out.desc_sim);
-      break;
-    case CombineMode::kWeighted:
-      out.score =
-          cls.od_weight * out.od_sim + (1.0 - cls.od_weight) * out.desc_sim;
-      break;
-    case CombineMode::kDescBoost: {
-      double boosted =
-          out.desc_sim >= cls.desc_threshold ? 1.0 : out.desc_sim;
-      out.score = 0.5 * (out.od_sim + boosted);
-      break;
-    }
-  }
-  return out;
 }
 
 }  // namespace sxnm::core

@@ -1,15 +1,13 @@
 // SXNM similarity measure: OD similarity (Def. 2), descendant similarity
 // (Def. 3), and their combination into a duplicate classification.
 //
-// Two comparison entry points exist. `Compare` reports exact similarity
-// values. `CompareFast` is the sliding-window kernel: it additionally
-// prunes the OD computation with bounded edit distances as soon as the
-// best achievable weighted sum can no longer reach the classifier
-// threshold. Both classify identically (`is_duplicate` only differs on
-// floating-point ties within ~1e-9 of the threshold), but a pruned
-// verdict reports an *upper bound* in `od_sim`/`combined` instead of the
-// exact value. Both entry points skip the descendant Jaccard whenever its
-// value cannot change the verdict.
+// A pair is decided in one place, `Decide`. It prunes the OD computation
+// with bounded edit distances as soon as the best achievable weighted sum
+// can no longer reach the classifier threshold, and skips the descendant
+// Jaccard whenever its value cannot change the verdict. A pruned verdict
+// reports an *upper bound* in `od_sim`/`combined` instead of the exact
+// value. Passing a trace makes the same pass record the exact values as
+// well (for the explain log), so the traced verdict is the untraced one.
 
 #ifndef SXNM_SXNM_SIMILARITY_MEASURE_H_
 #define SXNM_SXNM_SIMILARITY_MEASURE_H_
@@ -33,9 +31,9 @@ struct SimilarityVerdict {
   double combined = 0.0;      // sim^comb; an upper bound when `pruned`
   bool used_descendants = false;
   bool is_duplicate = false;
-  bool pruned = false;        // CompareFast bailed out early; od_sim and
-                              // combined are upper bounds, is_duplicate is
-                              // still correct
+  bool pruned = false;        // the bounded OD loop bailed out early;
+                              // od_sim and combined are upper bounds,
+                              // is_duplicate is still correct
 
   // Kernel accounting for the obs layer (which fast path decided the
   // verdict). Never feeds back into the classification.
@@ -55,8 +53,8 @@ struct SimilarityVerdict {
 /// instance may be shared by concurrent window passes.
 class SimilarityMeasure {
  public:
-  /// `instances` and each element of `child_cluster_sets` must outlive
-  /// this object. `child_cluster_sets` is either empty or parallel to
+  /// Each element of `child_cluster_sets` must outlive this object.
+  /// `child_cluster_sets` is either empty or parallel to
   /// `instances.child_types`. Construction precomputes the per-ordinal
   /// sorted, deduplicated descendant cluster-ID lists (the l_e of Def. 3),
   /// so per-pair descendant comparison is a linear merge.
@@ -77,48 +75,48 @@ class SimilarityMeasure {
   /// fields alone. Returns 0 when nothing is comparable. Always exact.
   double OdSimilarity(const GkRow& a, const GkRow& b) const;
 
-  /// Per-OD-entry similarities (parallel to the config's OD entries).
-  /// Components missing on both sides yield 0.0 here (an equational-
-  /// theory condition on such a component fails).
-  std::vector<double> ComponentSimilarities(const GkRow& a,
-                                            const GkRow& b) const;
-
   /// Descendant similarity (Def. 3): per child type, the Jaccard ratio of
   /// the two instances' descendant cluster-ID sets; aggregated by
   /// averaging over child types where at least one side has descendants.
   /// Returns -1 when no child type yields a comparable pair (no
-  /// descendant information at all).
-  double DescendantSimilarity(size_t ordinal_a, size_t ordinal_b) const;
+  /// descendant information at all). With non-null `slots`, appends each
+  /// child type's Jaccard detail (both-empty types included).
+  double DescendantSimilarity(
+      size_t ordinal_a, size_t ordinal_b,
+      std::vector<obs::ExplainDescSlot>* slots = nullptr) const;
 
-  /// Full comparison with exact similarity values in the verdict.
-  SimilarityVerdict Compare(const GkRow& a, const GkRow& b) const;
-
-  /// The sliding-window comparison kernel: classifies identically to
-  /// Compare but with upper-bound pruning (see SimilarityVerdict::pruned).
-  /// Falls back to the exact path when the candidate disables fast paths
-  /// (CandidateConfig::enable_fast_paths) or rows lack precomputed
-  /// normalized ODs.
-  SimilarityVerdict CompareFast(const GkRow& a, const GkRow& b) const;
-
-  /// Full decision breakdown for the explain log: exact per-component
-  /// similarities (values, interned refs, edit distances), per-child-slot
-  /// descendant Jaccard detail, the exact combined score, and which
-  /// component the bounded kernel would have pruned at (`bailout`).
-  /// Deliberately off the hot path — it recomputes everything without
-  /// pruning, so scores match Compare, not CompareFast's upper bounds.
-  obs::PairExplain Explain(const GkRow& a, const GkRow& b) const;
+  /// Decides one pair: the sliding-window kernel, with upper-bound
+  /// pruning (see SimilarityVerdict::pruned). Rows without precomputed
+  /// normalized ODs are normalized on the fly. A non-null `trace` also
+  /// receives the explain log's breakdown: exact values for every
+  /// comparable component (those past the bail-out point included),
+  /// `bailout` where the kernel pruned, the descendant slots, the exact
+  /// score and whether a theory's rules fired. It never alters the
+  /// verdict.
+  SimilarityVerdict Decide(const GkRow& a, const GkRow& b,
+                           obs::PairExplain* trace = nullptr) const;
 
  private:
-  SimilarityVerdict CompareImpl(const GkRow& a, const GkRow& b,
-                                bool bounded) const;
+  /// Decide, compiled once with and once without the trace bookkeeping
+  /// so the untraced kernel carries no trace checks.
+  template <bool kTraced>
+  SimilarityVerdict DecideImpl(const GkRow& a, const GkRow& b,
+                               obs::PairExplain* trace) const;
+
+  /// True when both rows carry interned normalized ODs resolvable in
+  /// `od_pool_` (what key generation produces).
+  bool Pooled(const GkRow& a, const GkRow& b) const {
+    return od_pool_ != nullptr && a.norm_ods.size() == a.ods.size() &&
+           b.norm_ods.size() == b.ods.size();
+  }
 
   /// One φ^OD component. When the entry uses the default "edit" function
-  /// and both rows carry interned normalized ODs (and fast paths are
-  /// enabled), equal pool IDs score exactly 1.0 without touching bytes
-  /// (counted into `*interned_out` when non-null); unequal IDs run the
-  /// bounded edit-distance kernel: the result is exact whenever it is
-  /// >= `min_sim`; otherwise `*pruned_out` is set and the result is an
-  /// upper bound. Other φ functions are always exact.
+  /// and both rows carry interned normalized ODs, equal pool IDs score
+  /// exactly 1.0 without touching bytes (counted into `*interned_out`
+  /// when non-null); unequal IDs run the bounded edit-distance kernel:
+  /// the result is exact whenever it is >= `min_sim`; otherwise
+  /// `*pruned_out` is set and the result is an upper bound. Other φ
+  /// functions are always exact.
   double ComponentSimilarity(const GkRow& a, const GkRow& b, size_t i,
                              double min_sim, bool* pruned_out,
                              size_t* interned_out = nullptr) const;
@@ -128,10 +126,29 @@ class SimilarityMeasure {
   /// `min_required`. Returns the exact similarity with `pruned == false`,
   /// or an upper bound with `pruned == true` (the bound is < the real
   /// requirement used by the caller). `min_required <= 0` disables
-  /// pruning.
+  /// pruning. When traced, the loop goes on past the bail-out point to
+  /// record exact values in `trace`; the return value is unaffected.
+  template <bool kTraced>
   double OdSimilarityBounded(const GkRow& a, const GkRow& b,
                              double min_required, bool* pruned_out,
-                             size_t* interned_out = nullptr) const;
+                             size_t* interned_out,
+                             obs::PairExplain* trace) const;
+
+  /// Fills the trace's per-component identity (index, weight, values,
+  /// interned refs, comparability) and threshold; scores come later.
+  void StartTrace(const GkRow& a, const GkRow& b,
+                  obs::PairExplain* trace) const;
+
+  /// Records and returns comparable component `i`'s exact similarity
+  /// (the kernel's `sim` when `sim_exact`, else scored again unbounded),
+  /// plus its edit distance.
+  double TraceComponent(const GkRow& a, const GkRow& b, size_t i, double sim,
+                        bool sim_exact, obs::PairExplain* trace) const;
+
+  /// sim^comb for a pair whose descendant similarity `desc` is defined
+  /// (>= 0). kDescGate combines to the OD alone: its descendants act as a
+  /// veto on the verdict, not on the score.
+  double Combine(double od, double desc) const;
 
   /// Smallest OD similarity at which the pair could still be classified a
   /// duplicate in *some* branch of the combine mode (descendants at their
@@ -139,13 +156,7 @@ class SimilarityMeasure {
   /// safety margin so bounded arithmetic never flips a borderline accept.
   double MinUsefulOd(bool desc_possible) const;
 
-  /// Set-based reference implementation of Def. 3, used when fast paths
-  /// are disabled (bench baselines measure the original kernel).
-  double DescendantSimilaritySetBased(size_t ordinal_a,
-                                      size_t ordinal_b) const;
-
   const CandidateConfig& config_;
-  const CandidateInstances& instances_;
   std::vector<const ClusterSet*> child_cluster_sets_;
   const OdPool* od_pool_ = nullptr;
 

@@ -101,21 +101,15 @@ class CrashResumeTest : public ::testing::Test {
   void TearDown() override { util::FaultInjector::Instance().DisarmAll(); }
 };
 
-// `fast_paths` false runs the plain (unpruned, exact) comparison kernels.
-void RunCrashMatrixCell(const KillPoint& kill, size_t num_threads,
-                        bool fast_paths) {
-  std::string tag = std::string(kill.name) + "_t" +
-                    std::to_string(num_threads) +
-                    (fast_paths ? "_fast" : "_plain");
+void RunCrashMatrixCell(const KillPoint& kill, size_t num_threads) {
+  std::string tag =
+      std::string(kill.name) + "_t" + std::to_string(num_threads);
   SCOPED_TRACE(tag);
 
   auto config_or = datagen::MovieScalabilityConfig(/*window=*/5);
   ASSERT_TRUE(config_or.ok());
   Config config = config_or.value();
   config.set_num_threads(num_threads);
-  for (CandidateConfig& cand : config.mutable_candidates()) {
-    cand.enable_fast_paths = fast_paths;
-  }
   xml::Document doc = DirtyMovies(80, 31, 4);
 
   auto baseline = Detector(config).Run(doc);
@@ -171,25 +165,13 @@ void RunCrashMatrixCell(const KillPoint& kill, size_t num_threads,
 
 TEST_F(CrashResumeTest, KillMatrixSerial) {
   for (const KillPoint& kill : kKillPoints) {
-    RunCrashMatrixCell(kill, /*num_threads=*/1, /*fast_paths=*/true);
+    RunCrashMatrixCell(kill, /*num_threads=*/1);
   }
 }
 
 TEST_F(CrashResumeTest, KillMatrixParallel) {
   for (const KillPoint& kill : kKillPoints) {
-    RunCrashMatrixCell(kill, /*num_threads=*/4, /*fast_paths=*/true);
-  }
-}
-
-TEST_F(CrashResumeTest, KillMatrixSerialPlainKernels) {
-  for (const KillPoint& kill : kKillPoints) {
-    RunCrashMatrixCell(kill, /*num_threads=*/1, /*fast_paths=*/false);
-  }
-}
-
-TEST_F(CrashResumeTest, KillMatrixParallelPlainKernels) {
-  for (const KillPoint& kill : kKillPoints) {
-    RunCrashMatrixCell(kill, /*num_threads=*/4, /*fast_paths=*/false);
+    RunCrashMatrixCell(kill, /*num_threads=*/4);
   }
 }
 

@@ -403,6 +403,25 @@ TEST(ProfilerDetectorTest, ReportCarriesProfileBlockWhenProfiled) {
   std::remove(folded.c_str());
 }
 
+// The checkpoint fingerprints (a hash walk of the whole document) are
+// charged to a span of their own, not to `detect`'s self time.
+TEST(ProfilerDetectorTest, CheckpointFingerprintHasItsOwnSpan) {
+  xml::Document doc = ProfiledCorpus(300);
+  core::Config config = datagen::MovieConfig(10).value();
+  std::string folded = ::testing::TempDir() + "/fingerprint_span.folded";
+  config.mutable_observability().profile_path = folded;
+  config.mutable_checkpoint().path =
+      ::testing::TempDir() + "/fingerprint_span.ckpt";
+  config.mutable_checkpoint().every_pass = true;
+  auto result = core::Detector(config).Run(doc);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto by_path = ByPath(result->profile);
+  auto it = by_path.find("detect;checkpoint_fingerprint");
+  ASSERT_NE(it, by_path.end());
+  EXPECT_GT(it->second.total_ns, 0u);
+  std::remove(folded.c_str());
+}
+
 TEST(ProfilerDetectorTest, UnprofiledReportOmitsProfileBlock) {
   xml::Document doc = ProfiledCorpus(100);
   core::Config config = datagen::MovieConfig(10).value();

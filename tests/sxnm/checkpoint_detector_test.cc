@@ -505,17 +505,6 @@ TEST_F(CheckpointDetectorTest, ResumeAcrossThreadCountsIsIdentical) {
   ExpectIdenticalResults(baseline.value(), resumed.value());
 }
 
-TEST_F(CheckpointDetectorTest, ResumeWithKernelVariants) {
-  // Fast paths off exercises resume under the plain exact kernels.
-  auto config = datagen::MovieScalabilityConfig(/*window=*/5);
-  ASSERT_TRUE(config.ok());
-  Config plain = config.value();
-  for (CandidateConfig& cand : plain.mutable_candidates()) {
-    cand.enable_fast_paths = false;
-  }
-  RunInterruptResumeCase(plain, DirtyMovies(120, 23, 9), "plain_kernels");
-}
-
 TEST_F(CheckpointDetectorTest, RunOptionsPathOverridesConfig) {
   auto config = datagen::MovieConfig(/*window=*/6);
   ASSERT_TRUE(config.ok());

@@ -319,8 +319,9 @@ TEST(ConfigXmlTest, DagAndBatchScoringAttributesParse) {
       {"batch-scoring=\"false\"", "", 1},
       {"dag=\"true\" batch-scoring=\"false\"", "", 2},
       // Once rejected by validation (the pre-filter needed the fast
-      // paths); with the attribute ignored there is nothing to conflict.
-      {"fast-paths=\"false\" batch-scoring=\"true\"", "", 1},
+      // paths); with both attributes ignored there is nothing to conflict.
+      {"fast-paths=\"false\" batch-scoring=\"true\"", "", 2},
+      {"fast-paths=\"true\"", "", 1},
       {"", "profile-hz=\"97\"", 1},
       {"", "profile=\"run.folded\" profile-hz=\"997\"", 1},
       {"dag=\"false\"", "profile-hz=\"5\"", 2},
@@ -346,9 +347,10 @@ TEST(ConfigXmlTest, DagAndBatchScoringAttributesParse) {
 }
 
 TEST(ConfigXmlTest, DagAndBatchScoringRoundTripThroughXml) {
-  // An old config with both attributes on two candidates: one warning per
-  // attribute, not per occurrence, and the re-serialized form no longer
-  // carries them, so it reloads without warnings to the same config.
+  // An old config with the deprecated attributes on two candidates: one
+  // warning per attribute, not per occurrence, and the re-serialized form
+  // no longer carries them, so it reloads without warnings to the same
+  // config.
   const std::string old_xml = R"xml(
 <sxnm-config>
   <observability profile="run.folded" profile-hz="499"/>
@@ -367,17 +369,20 @@ TEST(ConfigXmlTest, DagAndBatchScoringRoundTripThroughXml) {
   std::vector<std::string> warnings;
   auto original = ConfigFromXmlString(old_xml, &warnings);
   ASSERT_TRUE(original.ok()) << original.status().ToString();
-  ASSERT_EQ(warnings.size(), 3u);
+  ASSERT_EQ(warnings.size(), 4u);
   EXPECT_NE(warnings[0].find("'profile-hz'"), std::string::npos)
       << warnings[0];
   EXPECT_NE(warnings[1].find("'dag'"), std::string::npos) << warnings[1];
   EXPECT_NE(warnings[2].find("'batch-scoring'"), std::string::npos)
       << warnings[2];
+  EXPECT_NE(warnings[3].find("'fast-paths'"), std::string::npos)
+      << warnings[3];
 
   const std::string serialized = ConfigToXmlString(original.value());
   EXPECT_EQ(serialized.find("dag="), std::string::npos) << serialized;
   EXPECT_EQ(serialized.find("batch-scoring="), std::string::npos)
       << serialized;
+  EXPECT_EQ(serialized.find("fast-paths="), std::string::npos) << serialized;
   EXPECT_EQ(serialized.find("profile-hz="), std::string::npos) << serialized;
   EXPECT_NE(serialized.find("profile=\"run.folded\""), std::string::npos)
       << serialized;
@@ -386,8 +391,6 @@ TEST(ConfigXmlTest, DagAndBatchScoringRoundTripThroughXml) {
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
   EXPECT_TRUE(rewarnings.empty());
   EXPECT_EQ(ConfigToXmlString(reparsed.value()), serialized);
-  EXPECT_TRUE(reparsed->Find("a")->enable_fast_paths);
-  EXPECT_FALSE(reparsed->Find("b")->enable_fast_paths);
 }
 
 std::string OutOfCoreConfigXml(const std::string& root_attrs) {
@@ -466,6 +469,8 @@ TEST(ConfigXmlTest, BadDagBooleanRejected) {
   EXPECT_FALSE(ConfigFromXmlString(DagCandidateXml("dag=\"maybe\"")).ok());
   EXPECT_FALSE(
       ConfigFromXmlString(DagCandidateXml("batch-scoring=\"0.5\"")).ok());
+  EXPECT_FALSE(
+      ConfigFromXmlString(DagCandidateXml("fast-paths=\"fast\"")).ok());
 }
 
 }  // namespace

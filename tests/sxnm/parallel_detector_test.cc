@@ -1,12 +1,15 @@
 // Parallel engine determinism: the detector must produce bit-identical
-// results for every thread count and with the comparison-kernel fast
-// paths on or off. These tests drive full dirty-generated datasets
-// through Detector::Run at several thread counts and diff every
-// observable output. They also serve as the TSan workload (the `tsan`
-// CMake preset's test filter selects names containing "Parallel").
+// results for every thread count and with the explain log on or off,
+// and the bounded kernel's pruning must not change a verdict. These
+// tests drive full dirty-generated datasets through Detector::Run at
+// several thread counts and diff every observable output. They also
+// serve as the TSan workload (the `tsan` CMake preset's test filter
+// selects names containing "Parallel").
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -90,41 +93,74 @@ TEST(ParallelDetectorTest, BottomUpMultiCandidateIsDeterministic) {
   ExpectIdenticalResults(serial.value(), parallel.value());
 }
 
+// Raw text of `"field":<value>` on one NDJSON line (numbers and booleans
+// verbatim); empty when absent.
+std::string Field(const std::string& line, const std::string& field) {
+  const std::string tag = "\"" + field + "\":";
+  size_t at = line.find(tag);
+  if (at == std::string::npos) return {};
+  at += tag.size();
+  size_t end = line.find_first_of(",}", at);
+  return line.substr(at, end - at);
+}
+
+// The bounded kernel's pruning must not change a verdict: with the
+// explain log on, every window-pass pair record carries the kernel's
+// verdict next to the exact scores of the same Decide call, and the two
+// must agree — here on a kOdOnly candidate, where the exact combined
+// score against the threshold decides. Explain on must not change the
+// clusters either.
 TEST(ParallelDetectorTest, FastPathsDoNotChangeAcceptedPairs) {
   xml::Document dirty = DirtyMovies(250, 13, 3);
   auto config = datagen::MovieConfig(/*window=*/8);
   ASSERT_TRUE(config.ok());
+  ASSERT_EQ(config->candidates()[0].classifier.mode, CombineMode::kOdOnly);
 
-  Config slow_config = config.value();
-  for (CandidateConfig& cand : slow_config.mutable_candidates()) {
-    cand.enable_fast_paths = false;
+  const std::string path =
+      ::testing::TempDir() + "/parallel_fast_paths_explain.ndjson";
+  Config explain_config = config.value();
+  explain_config.set_num_threads(4);
+  explain_config.mutable_observability().metrics = true;
+  explain_config.mutable_observability().explain_path = path;
+
+  auto plain = Detector(config.value()).Run(dirty);
+  auto explained = Detector(explain_config).Run(dirty);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  ExpectIdenticalResults(plain.value(), explained.value());
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  size_t owned = 0, accepted = 0, bailouts = 0, ties = 0;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (Field(line, "provenance") != "\"owned\"") continue;
+    ++owned;
+    const bool bailout = line.find("\"bailout\":true") != std::string::npos;
+    const std::string verdict = Field(line, "verdict");
+    bailouts += bailout ? 1 : 0;
+    accepted += verdict == "true" ? 1 : 0;
+    // The log prints 9 significant digits, and rounding is monotone: a
+    // score that prints unlike the threshold lies on the side its text
+    // does. One that prints as the threshold itself is a tie at that
+    // precision and could lie on either side; all the log can show is
+    // that the kernel decided it on its exact score, not on a bound.
+    const std::string score = Field(line, "score");
+    const std::string threshold = Field(line, "threshold");
+    if (score == threshold) {
+      ++ties;
+      ASSERT_FALSE(bailout) << line;
+      continue;
+    }
+    const bool implied = std::stod(score) >= std::stod(threshold);
+    ASSERT_EQ(verdict, implied ? "true" : "false") << line;
   }
-
-  auto fast = Detector(config.value()).Run(dirty);
-  auto slow = Detector(slow_config).Run(dirty);
-  ASSERT_TRUE(fast.ok());
-  ASSERT_TRUE(slow.ok());
-  ExpectIdenticalResults(fast.value(), slow.value());
-}
-
-TEST(ParallelDetectorTest, FastPathsOffParallelStillDeterministic) {
-  // The legacy kernels under the parallel engine: isolates engine
-  // determinism from the kernel rewrites.
-  xml::Document dirty = DirtyMovies(150, 9, 4);
-  auto config = datagen::MovieConfig(/*window=*/6);
-  ASSERT_TRUE(config.ok());
-  Config base = config.value();
-  for (CandidateConfig& cand : base.mutable_candidates()) {
-    cand.enable_fast_paths = false;
-  }
-
-  auto serial = Detector(base).Run(dirty);
-  ASSERT_TRUE(serial.ok());
-  Config parallel_config = base;
-  parallel_config.set_num_threads(3);
-  auto parallel = Detector(parallel_config).Run(dirty);
-  ASSERT_TRUE(parallel.ok());
-  ExpectIdenticalResults(serial.value(), parallel.value());
+  std::remove(path.c_str());
+  EXPECT_EQ(owned, explained->metrics.CounterOr("sw.comparisons"));
+  EXPECT_EQ(bailouts, explained->metrics.CounterOr("sw.ed_bailouts"));
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(bailouts, 0u);
+  EXPECT_LT(ties, owned / 100) << "ties must stay the exception";
 }
 
 TEST(ParallelDetectorTest, DescendantHeavyCdDataIsDeterministic) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -169,10 +170,28 @@ TEST(DescendantSimilarityTest, OneEmptyListIsZero) {
   EXPECT_DOUBLE_EQ(measure.DescendantSimilarity(0, 1), 0.0);
 }
 
+// Def. 3 written out directly: per child type, the Jaccard ratio of the
+// two instances' descendant cluster-ID sets, averaged over the types
+// where at least one side has descendants; -1 when there is none.
+double SetBasedDescendantSimilarity(
+    const std::vector<std::vector<size_t>>& per_instance,
+    const ClusterSet& clusters, size_t ordinal_a, size_t ordinal_b) {
+  const std::vector<size_t>& desc_a = per_instance[ordinal_a];
+  const std::vector<size_t>& desc_b = per_instance[ordinal_b];
+  if (desc_a.empty() && desc_b.empty()) return -1.0;
+  std::set<int> cids_a, cids_b;
+  for (size_t d : desc_a) cids_a.insert(clusters.cid(d));
+  for (size_t d : desc_b) cids_b.insert(clusters.cid(d));
+  size_t overlap = 0;
+  for (int cid : cids_a) overlap += cids_b.count(cid);
+  size_t unions = cids_a.size() + cids_b.size() - overlap;
+  return static_cast<double>(overlap) / static_cast<double>(unions);
+}
+
 TEST(DescendantSimilarityTest, SortedVectorMatchesSetBasedReference) {
-  // The precomputed sorted-vector Jaccard (fast paths on) against the
-  // original per-pair std::set implementation (fast paths off), over
-  // random descendant lists with duplicates and empties.
+  // The precomputed sorted-vector Jaccard against a per-pair std::set
+  // reference of Def. 3, over random descendant lists with duplicates
+  // and empties.
   std::mt19937 rng(9001);
   constexpr size_t kInstances = 24;
   constexpr size_t kChildren = 40;
@@ -187,19 +206,15 @@ TEST(DescendantSimilarityTest, SortedVectorMatchesSetBasedReference) {
   ClusterSet clusters = ClusterSet::FromClusters(
       {{0, 5, 11}, {1, 2}, {7, 13, 21, 33}, {8, 39}}, kChildren);
 
-  CandidateConfig fast = TwoFieldCandidate();
-  CandidateConfig slow = TwoFieldCandidate();
-  slow.enable_fast_paths = false;
-
-  CandidateInstances instances = WithDescendants(&fast, per_instance);
-  SimilarityMeasure fast_measure(fast, instances, {&clusters});
-  CandidateInstances instances_slow = WithDescendants(&slow, per_instance);
-  SimilarityMeasure slow_measure(slow, instances_slow, {&clusters});
+  CandidateConfig cand = TwoFieldCandidate();
+  CandidateInstances instances = WithDescendants(&cand, per_instance);
+  SimilarityMeasure measure(cand, instances, {&clusters});
 
   for (size_t a = 0; a < kInstances; ++a) {
     for (size_t b = a + 1; b < kInstances; ++b) {
-      ASSERT_DOUBLE_EQ(fast_measure.DescendantSimilarity(a, b),
-                       slow_measure.DescendantSimilarity(a, b))
+      ASSERT_DOUBLE_EQ(
+          measure.DescendantSimilarity(a, b),
+          SetBasedDescendantSimilarity(per_instance, clusters, a, b))
           << "ordinals " << a << ", " << b;
     }
   }
@@ -221,22 +236,51 @@ GkRow RandomRow(size_t ordinal, std::mt19937& rng, OdPool& pool) {
   return row;
 }
 
+// The verdict a decision trace's exact fields imply: the theory's rules
+// when there is one; otherwise the exact combined score against the
+// threshold, plus the descendant veto under kDescGate.
+bool ImpliedVerdict(const CandidateConfig& cand,
+                    const obs::PairExplain& trace) {
+  if (!cand.theory.empty()) return trace.theory_equal;
+  if (cand.classifier.mode == CombineMode::kDescGate && trace.desc_valid) {
+    return trace.od_sim >= trace.threshold &&
+           trace.desc_sim >= cand.classifier.desc_threshold;
+  }
+  return trace.score >= trace.threshold;
+}
+
+// The bounded kernel (CompareFast before it became Decide) may report
+// pruned upper bounds, but its verdict must be the one the exact values
+// imply — for every combine mode and under an equational theory, with
+// and without descendant information — and a trace must not change it.
 TEST(CompareFastTest, ClassifiesIdenticallyToExactAcrossModes) {
-  // CompareFast may report pruned upper bounds, but is_duplicate must
-  // match Compare exactly — for every combine mode, with and without
-  // descendant information.
   std::mt19937 rng(31337);
   ClusterSet child = ClusterSet::FromClusters({{0, 1}, {2, 3}}, 6);
   std::uniform_int_distribution<size_t> desc(0, 5);
 
-  for (CombineMode mode :
-       {CombineMode::kOdOnly, CombineMode::kAverage, CombineMode::kWeighted,
-        CombineMode::kDescBoost, CombineMode::kDescGate}) {
+  struct Case {
+    CombineMode mode;
+    bool theory;
+  };
+  const Case cases[] = {
+      {CombineMode::kOdOnly, false},   {CombineMode::kAverage, false},
+      {CombineMode::kWeighted, false}, {CombineMode::kDescBoost, false},
+      {CombineMode::kDescGate, false}, {CombineMode::kAverage, true},
+  };
+  size_t pruned = 0, accepted = 0, theory_fired = 0;
+  for (const Case& c : cases) {
     CandidateConfig cand = TwoFieldCandidate();
-    cand.classifier.mode = mode;
+    cand.classifier.mode = c.mode;
     cand.classifier.od_threshold = 0.72;
     cand.classifier.desc_threshold = 0.4;
     cand.classifier.od_weight = 0.7;
+    if (c.theory) {
+      // Title close and same year, or title close with shared children.
+      cand.theory.AddRule({{{1, 0.8}, {2, 1.0}}});
+      cand.theory.AddRule({{{1, 0.6}, {RuleCondition::kDescendants, 0.3}}});
+    }
+    SCOPED_TRACE(std::string(CombineModeName(c.mode)) +
+                 (c.theory ? " + theory" : ""));
 
     std::vector<std::vector<size_t>> per_instance(2);
     for (auto& list : per_instance) list = {desc(rng), desc(rng)};
@@ -247,26 +291,49 @@ TEST(CompareFastTest, ClassifiesIdenticallyToExactAcrossModes) {
     for (int iter = 0; iter < 300; ++iter) {
       GkRow a = RandomRow(0, rng, pool);
       GkRow b = RandomRow(1, rng, pool);
-      SimilarityVerdict exact = measure.Compare(a, b);
-      SimilarityVerdict fast = measure.CompareFast(a, b);
-      ASSERT_EQ(fast.is_duplicate, exact.is_duplicate)
-          << CombineModeName(mode) << ": \"" << a.ods[0] << "\"/\""
-          << a.ods[1] << "\" vs \"" << b.ods[0] << "\"/\"" << b.ods[1]
-          << "\" (exact combined " << exact.combined << ")";
-      if (!fast.pruned) {
-        ASSERT_DOUBLE_EQ(fast.od_sim, exact.od_sim);
-      } else {
-        ASSERT_FALSE(fast.is_duplicate);
-        ASSERT_GE(fast.od_sim + 1e-12, exact.od_sim)
-            << "pruned od_sim must be an upper bound";
+      obs::PairExplain trace;
+      SimilarityVerdict plain = measure.Decide(a, b);
+      SimilarityVerdict traced = measure.Decide(a, b, &trace);
+      const std::string pair = "\"" + a.ods[0] + "\"/\"" + a.ods[1] +
+                               "\" vs \"" + b.ods[0] + "\"/\"" + b.ods[1] +
+                               "\" (exact score " +
+                               std::to_string(trace.score) + ")";
+      ASSERT_EQ(plain.is_duplicate, traced.is_duplicate) << pair;
+      ASSERT_EQ(plain.pruned, traced.pruned) << pair;
+      ASSERT_EQ(plain.od_sim, traced.od_sim) << pair;
+      ASSERT_EQ(plain.combined, traced.combined) << pair;
+      ASSERT_EQ(plain.interned_equal, traced.interned_equal) << pair;
+      ASSERT_EQ(plain.desc_evaluated, traced.desc_evaluated) << pair;
+
+      ASSERT_EQ(traced.is_duplicate, ImpliedVerdict(cand, trace)) << pair;
+      size_t bailouts = 0;
+      for (const obs::ExplainOdComponent& comp : trace.components) {
+        bailouts += comp.bailout ? 1 : 0;
       }
+      ASSERT_EQ(bailouts, traced.pruned ? 1u : 0u) << pair;
+      if (!traced.pruned) {
+        ASSERT_EQ(traced.od_sim, trace.od_sim) << pair;
+      } else {
+        ASSERT_FALSE(traced.is_duplicate) << pair;
+        // Up to the rounding of the bound's running sums.
+        ASSERT_GE(traced.od_sim + 1e-12, trace.od_sim)
+            << pair << ": pruned od_sim must be an upper bound";
+      }
+      ASSERT_EQ(trace.od_sim, measure.OdSimilarity(a, b)) << pair;
+      pruned += traced.pruned ? 1 : 0;
+      accepted += traced.is_duplicate ? 1 : 0;
+      theory_fired += trace.theory_equal ? 1 : 0;
     }
   }
+  // The corpus exercises both verdicts, the bail-out and the theory.
+  EXPECT_GT(pruned, 0u);
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(theory_fired, 0u);
 }
 
 TEST(CompareFastTest, InternedEqualScoresOneWithoutKernel) {
   // Raw values that differ only in case/whitespace intern to the same
-  // pool ID; CompareFast must score those components exactly 1.0 and
+  // pool ID; the kernel must score those components exactly 1.0 and
   // report them in interned_equal.
   CandidateConfig cand = TwoFieldCandidate();
   CandidateInstances instances = NoDescendants(&cand, 2);
@@ -282,7 +349,7 @@ TEST(CompareFastTest, InternedEqualScoresOneWithoutKernel) {
   ASSERT_EQ(a.norm_ods[0].id, b.norm_ods[0].id);
 
   SimilarityMeasure measure(cand, instances, {}, &pool);
-  SimilarityVerdict fast = measure.CompareFast(a, b);
+  SimilarityVerdict fast = measure.Decide(a, b);
   EXPECT_TRUE(fast.is_duplicate);
   EXPECT_DOUBLE_EQ(fast.od_sim, 1.0);
   // Only the first component uses the "edit" φ; the "exact" year is never
@@ -295,23 +362,43 @@ TEST(CompareFastTest, InternedEqualScoresOneWithoutKernel) {
     c.norm_ods.push_back(
         pool.Intern(util::ToLower(util::NormalizeWhitespace(od))));
   }
-  SimilarityVerdict mixed = measure.CompareFast(a, c);
+  SimilarityVerdict mixed = measure.Decide(a, c);
   EXPECT_EQ(mixed.interned_equal, 0u);
 }
 
 TEST(CompareFastTest, FallsBackWithoutPrecomputedNormOds) {
-  // Hand-built rows without norm_ods must take the exact path.
+  // Hand-built rows without norm_ods normalize on the fly, and decide
+  // exactly as rows with interned normalized ODs do.
   CandidateConfig cand = TwoFieldCandidate();
-  CandidateInstances instances = NoDescendants(&cand, 2);
-  SimilarityMeasure measure(cand, instances, {});
+  CandidateInstances instances = NoDescendants(&cand, 3);
+  OdPool pool;
+  SimilarityMeasure measure(cand, instances, {}, &pool);
   GkRow a = Row(0, {"The  Matrix", "x"});
   GkRow b = Row(1, {"the matrix", "x"});
-  SimilarityVerdict fast = measure.CompareFast(a, b);
-  SimilarityVerdict exact = measure.Compare(a, b);
-  EXPECT_DOUBLE_EQ(fast.od_sim, exact.od_sim);
-  EXPECT_DOUBLE_EQ(fast.combined, exact.combined);
-  EXPECT_EQ(fast.is_duplicate, exact.is_duplicate);
-  EXPECT_TRUE(fast.is_duplicate) << "normalization still applies on the fly";
+  GkRow c = Row(2, {"The Matrix Reloaded", "x"});
+  SimilarityVerdict raw = measure.Decide(a, b);
+  EXPECT_DOUBLE_EQ(raw.od_sim, 1.0);
+  EXPECT_TRUE(raw.is_duplicate) << "normalization still applies on the fly";
+  EXPECT_EQ(raw.interned_equal, 0u);
+
+  for (GkRow* row : {&a, &b, &c}) {
+    for (const std::string& od : row->ods) {
+      row->norm_ods.push_back(
+          pool.Intern(util::ToLower(util::NormalizeWhitespace(od))));
+    }
+  }
+  SimilarityVerdict pooled = measure.Decide(a, b);
+  EXPECT_EQ(pooled.od_sim, raw.od_sim);
+  EXPECT_EQ(pooled.is_duplicate, raw.is_duplicate);
+
+  // A dissimilar pair scores the same exact values either way.
+  obs::PairExplain raw_trace, pooled_trace;
+  SimilarityVerdict dissimilar_raw =
+      measure.Decide(Row(0, a.ods), Row(2, c.ods), &raw_trace);
+  SimilarityVerdict dissimilar_pooled = measure.Decide(a, c, &pooled_trace);
+  EXPECT_FALSE(dissimilar_raw.is_duplicate);
+  EXPECT_FALSE(dissimilar_pooled.is_duplicate);
+  EXPECT_EQ(raw_trace.od_sim, pooled_trace.od_sim);
 }
 
 TEST(CompareTest, DescendantJaccardSkippedWhenVerdictDecided) {
@@ -325,7 +412,7 @@ TEST(CompareTest, DescendantJaccardSkippedWhenVerdictDecided) {
   CandidateInstances instances = WithDescendants(&cand, {{0, 1}, {2, 3}});
   SimilarityMeasure measure(cand, instances, {&child});
   auto verdict =
-      measure.Compare(Row(0, {"same", "x"}), Row(1, {"same", "x"}));
+      measure.Decide(Row(0, {"same", "x"}), Row(1, {"same", "x"}));
   EXPECT_TRUE(verdict.is_duplicate);
   EXPECT_FALSE(verdict.used_descendants)
       << "desc cannot change an od=1.0 accept at threshold 0.5";
@@ -338,8 +425,8 @@ TEST(CompareTest, DescendantJaccardSkippedWhenVerdictDecided) {
   CandidateInstances strict_instances =
       WithDescendants(&strict, {{0, 1}, {2, 3}});
   SimilarityMeasure strict_measure(strict, strict_instances, {&child});
-  auto reject = strict_measure.Compare(Row(0, {"aaaa", "x"}),
-                                       Row(1, {"zzzz", "y"}));
+  auto reject = strict_measure.Decide(Row(0, {"aaaa", "x"}),
+                                      Row(1, {"zzzz", "y"}));
   EXPECT_FALSE(reject.is_duplicate);
   EXPECT_FALSE(reject.used_descendants);
 }
@@ -351,7 +438,7 @@ TEST(CompareTest, OdOnlyMode) {
   CandidateInstances instances = WithDescendants(&cand, {{0}, {1}});
   SimilarityMeasure measure(cand, instances, {&child});
   auto verdict =
-      measure.Compare(Row(0, {"same", "x"}), Row(1, {"same", "x"}));
+      measure.Decide(Row(0, {"same", "x"}), Row(1, {"same", "x"}));
   EXPECT_FALSE(verdict.used_descendants);
   EXPECT_TRUE(verdict.is_duplicate);
   EXPECT_DOUBLE_EQ(verdict.combined, 1.0);
@@ -366,7 +453,7 @@ TEST(CompareTest, AverageMode) {
   SimilarityMeasure measure(cand, instances, {&child});
   // od = 1.0, desc = 1.0 -> combined 1.0.
   auto verdict =
-      measure.Compare(Row(0, {"same", "x"}), Row(1, {"same", "x"}));
+      measure.Decide(Row(0, {"same", "x"}), Row(1, {"same", "x"}));
   EXPECT_TRUE(verdict.used_descendants);
   EXPECT_DOUBLE_EQ(verdict.desc_sim, 1.0);
   EXPECT_DOUBLE_EQ(verdict.combined, 1.0);
@@ -383,7 +470,7 @@ TEST(CompareTest, WeightedMode) {
   SimilarityMeasure measure(cand, instances, {&child});
   // od = 1.0, desc = 0 -> 0.75*1 + 0.25*0 = 0.75 < 0.9.
   auto verdict =
-      measure.Compare(Row(0, {"same", "x"}), Row(1, {"same", "x"}));
+      measure.Decide(Row(0, {"same", "x"}), Row(1, {"same", "x"}));
   EXPECT_NEAR(verdict.combined, 0.75, 1e-12);
   EXPECT_FALSE(verdict.is_duplicate);
 }
@@ -400,7 +487,7 @@ TEST(CompareTest, DescBoostMode) {
   // od = 0.8*edit("aaaa","aaxx")+0.2*0 = 0.8*0.5 = 0.4; boosted desc -> 1;
   // combined = (0.4 + 1)/2 = 0.7 -> duplicate at threshold 0.7.
   auto verdict =
-      measure.Compare(Row(0, {"aaaa", "p"}), Row(1, {"aaxx", "q"}));
+      measure.Decide(Row(0, {"aaaa", "p"}), Row(1, {"aaxx", "q"}));
   EXPECT_TRUE(verdict.used_descendants);
   EXPECT_NEAR(verdict.combined, 0.7, 1e-12);
   EXPECT_TRUE(verdict.is_duplicate);
@@ -416,7 +503,7 @@ TEST(CompareTest, DescGateVetoesDisjointChildren) {
   SimilarityMeasure measure(cand, instances, {&child});
   // od passes (1.0) but children disjoint -> vetoed.
   auto verdict =
-      measure.Compare(Row(0, {"same", "x"}), Row(1, {"same", "x"}));
+      measure.Decide(Row(0, {"same", "x"}), Row(1, {"same", "x"}));
   EXPECT_FALSE(verdict.is_duplicate);
 }
 
@@ -429,7 +516,7 @@ TEST(CompareTest, DescGatePassesWithOverlap) {
   CandidateInstances instances = WithDescendants(&cand, {{0, 1}, {2, 3}});
   SimilarityMeasure measure(cand, instances, {&child});
   auto verdict =
-      measure.Compare(Row(0, {"same", "x"}), Row(1, {"same", "x"}));
+      measure.Decide(Row(0, {"same", "x"}), Row(1, {"same", "x"}));
   EXPECT_TRUE(verdict.is_duplicate) << "full cluster overlap passes gate";
 }
 
@@ -442,7 +529,7 @@ TEST(CompareTest, LeafFallsBackToOdInEveryMode) {
     CandidateInstances instances = NoDescendants(&cand, 2);
     SimilarityMeasure measure(cand, instances, {});
     auto verdict =
-        measure.Compare(Row(0, {"same", "x"}), Row(1, {"same", "x"}));
+        measure.Decide(Row(0, {"same", "x"}), Row(1, {"same", "x"}));
     EXPECT_FALSE(verdict.used_descendants);
     EXPECT_TRUE(verdict.is_duplicate)
         << "mode " << CombineModeName(mode);
@@ -457,7 +544,7 @@ TEST(CompareTest, UseDescendantsFalseIgnoresChildren) {
   CandidateInstances instances = WithDescendants(&cand, {{0, 1}, {2, 3}});
   SimilarityMeasure measure(cand, instances, {&child});
   auto verdict =
-      measure.Compare(Row(0, {"same", "x"}), Row(1, {"same", "x"}));
+      measure.Decide(Row(0, {"same", "x"}), Row(1, {"same", "x"}));
   EXPECT_FALSE(verdict.used_descendants);
   EXPECT_TRUE(verdict.is_duplicate)
       << "gate disabled because descendants are disabled";
