@@ -1,5 +1,6 @@
 #include "obs/explain.h"
 
+#include <charconv>
 #include <cstdio>
 
 #include "persist/io.h"
@@ -41,18 +42,34 @@ void AppendEscaped(std::string& out, std::string_view s) {
 }
 
 // Same %.9g rendering the metrics JSON uses, so scores round-trip the
-// identical way across every export surface.
+// identical way across every export surface. std::to_chars with a
+// precision is specified as printf's %.*g in the "C" locale.
 void AppendDouble(std::string& out, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", value);
-  out += buf;
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value,
+                                std::chars_format::general, 9)
+                      .ptr);
+}
+
+// Decimal rendering (as std::to_string), appended without a temporary.
+template <typename Int>
+void AppendInt(std::string& out, Int value) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+// Appends `key` (a literal such as `,"pass":`) followed by `value`.
+template <typename Int>
+void AppendField(std::string& out, std::string_view key, Int value) {
+  out += key;
+  AppendInt(out, value);
 }
 
 void AppendSizeList(std::string& out, const std::vector<size_t>& values) {
   out += '[';
   for (size_t i = 0; i < values.size(); ++i) {
     if (i > 0) out += ',';
-    out += std::to_string(values[i]);
+    AppendInt(out, values[i]);
   }
   out += ']';
 }
@@ -76,10 +93,10 @@ void ExplainLog::AppendCandidate(std::string_view candidate, size_t depth,
   if (!enabled_) return;
   text_ += "{\"type\":\"candidate\",\"candidate\":";
   AppendEscaped(text_, candidate);
-  text_ += ",\"depth\":" + std::to_string(depth);
-  text_ += ",\"instances\":" + std::to_string(num_instances);
-  text_ += ",\"keys\":" + std::to_string(num_keys);
-  text_ += ",\"window\":" + std::to_string(window);
+  AppendField(text_, ",\"depth\":", depth);
+  AppendField(text_, ",\"instances\":", num_instances);
+  AppendField(text_, ",\"keys\":", num_keys);
+  AppendField(text_, ",\"window\":", window);
   text_ += ",\"window_policy\":";
   AppendEscaped(text_, window_policy);
   text_ += ",\"threshold\":";
@@ -94,8 +111,8 @@ void ExplainLog::AppendInstance(std::string_view candidate, size_t ordinal,
   if (!enabled_) return;
   text_ += "{\"type\":\"instance\",\"candidate\":";
   AppendEscaped(text_, candidate);
-  text_ += ",\"ordinal\":" + std::to_string(ordinal);
-  text_ += ",\"eid\":" + std::to_string(eid);
+  AppendField(text_, ",\"ordinal\":", ordinal);
+  AppendField(text_, ",\"eid\":", eid);
   text_ += ",\"keys\":[";
   for (size_t i = 0; i < keys.size(); ++i) {
     if (i > 0) text_ += ',';
@@ -121,12 +138,12 @@ void ExplainLog::AppendPair(std::string_view candidate, int pass, size_t a,
   }
   text_ += "{\"type\":\"pair\",\"candidate\":";
   AppendEscaped(text_, candidate);
-  text_ += ",\"pass\":" + std::to_string(pass);
-  text_ += ",\"a\":" + std::to_string(a);
-  text_ += ",\"b\":" + std::to_string(b);
-  text_ += ",\"eid_a\":" + std::to_string(eid_a);
-  text_ += ",\"eid_b\":" + std::to_string(eid_b);
-  text_ += ",\"window_distance\":" + std::to_string(window_distance);
+  AppendField(text_, ",\"pass\":", pass);
+  AppendField(text_, ",\"a\":", a);
+  AppendField(text_, ",\"b\":", b);
+  AppendField(text_, ",\"eid_a\":", eid_a);
+  AppendField(text_, ",\"eid_b\":", eid_b);
+  AppendField(text_, ",\"window_distance\":", window_distance);
   text_ += ",\"provenance\":";
   AppendEscaped(text_, PairProvenanceName(provenance));
   if (detail != nullptr) {
@@ -134,22 +151,22 @@ void ExplainLog::AppendPair(std::string_view candidate, int pass, size_t a,
     for (size_t i = 0; i < detail->components.size(); ++i) {
       const ExplainOdComponent& c = detail->components[i];
       if (i > 0) text_ += ',';
-      text_ += "{\"index\":" + std::to_string(c.index);
+      AppendField(text_, "{\"index\":", c.index);
       text_ += ",\"weight\":";
       AppendDouble(text_, c.weight);
       text_ += ",\"value_a\":";
       AppendEscaped(text_, c.value_a);
       text_ += ",\"value_b\":";
       AppendEscaped(text_, c.value_b);
-      text_ += ",\"ref_a\":" + std::to_string(c.ref_a);
-      text_ += ",\"ref_b\":" + std::to_string(c.ref_b);
+      AppendField(text_, ",\"ref_a\":", c.ref_a);
+      AppendField(text_, ",\"ref_b\":", c.ref_b);
       text_ += ",\"comparable\":";
       text_ += c.comparable ? "true" : "false";
       text_ += ",\"interned_equal\":";
       text_ += c.interned_equal ? "true" : "false";
       text_ += ",\"bailout\":";
       text_ += c.bailout ? "true" : "false";
-      text_ += ",\"edit_distance\":" + std::to_string(c.edit_distance);
+      AppendField(text_, ",\"edit_distance\":", c.edit_distance);
       text_ += ",\"sim\":";
       AppendDouble(text_, c.sim);
       text_ += '}';
@@ -158,11 +175,11 @@ void ExplainLog::AppendPair(std::string_view candidate, int pass, size_t a,
     for (size_t i = 0; i < detail->descendants.size(); ++i) {
       const ExplainDescSlot& d = detail->descendants[i];
       if (i > 0) text_ += ',';
-      text_ += "{\"child\":" + std::to_string(d.child);
-      text_ += ",\"size_a\":" + std::to_string(d.size_a);
-      text_ += ",\"size_b\":" + std::to_string(d.size_b);
-      text_ += ",\"intersection\":" + std::to_string(d.intersection);
-      text_ += ",\"union\":" + std::to_string(d.union_size);
+      AppendField(text_, "{\"child\":", d.child);
+      AppendField(text_, ",\"size_a\":", d.size_a);
+      AppendField(text_, ",\"size_b\":", d.size_b);
+      AppendField(text_, ",\"intersection\":", d.intersection);
+      AppendField(text_, ",\"union\":", d.union_size);
       text_ += ",\"jaccard\":";
       AppendDouble(text_, d.jaccard);
       text_ += '}';
@@ -201,15 +218,15 @@ void ExplainLog::AppendShed(std::string_view candidate, int pass, bool skipped,
   if (!enabled_) return;
   text_ += "{\"type\":\"shed\",\"candidate\":";
   AppendEscaped(text_, candidate);
-  text_ += ",\"pass\":" + std::to_string(pass);
+  AppendField(text_, ",\"pass\":", pass);
   text_ += ",\"provenance\":\"shed\"";
   text_ += ",\"skipped\":";
   text_ += skipped ? "true" : "false";
-  text_ += ",\"window_configured\":" + std::to_string(window_configured);
-  text_ += ",\"window_used\":" + std::to_string(window_used);
-  text_ += ",\"rows\":" + std::to_string(rows);
-  text_ += ",\"pairs_planned\":" + std::to_string(pairs_planned);
-  text_ += ",\"pairs_elided\":" + std::to_string(pairs_elided);
+  AppendField(text_, ",\"window_configured\":", window_configured);
+  AppendField(text_, ",\"window_used\":", window_used);
+  AppendField(text_, ",\"rows\":", rows);
+  AppendField(text_, ",\"pairs_planned\":", pairs_planned);
+  AppendField(text_, ",\"pairs_elided\":", pairs_elided);
   text_ += "}\n";
 }
 
@@ -219,11 +236,11 @@ void ExplainLog::AppendMerge(std::string_view candidate, size_t a, size_t b,
   if (!enabled_) return;
   text_ += "{\"type\":\"merge\",\"candidate\":";
   AppendEscaped(text_, candidate);
-  text_ += ",\"a\":" + std::to_string(a);
-  text_ += ",\"b\":" + std::to_string(b);
-  text_ += ",\"root_a\":" + std::to_string(root_a);
-  text_ += ",\"root_b\":" + std::to_string(root_b);
-  text_ += ",\"root\":" + std::to_string(root);
+  AppendField(text_, ",\"a\":", a);
+  AppendField(text_, ",\"b\":", b);
+  AppendField(text_, ",\"root_a\":", root_a);
+  AppendField(text_, ",\"root_b\":", root_b);
+  AppendField(text_, ",\"root\":", root);
   text_ += ",\"merged\":";
   text_ += merged ? "true" : "false";
   text_ += "}\n";
@@ -234,7 +251,7 @@ void ExplainLog::AppendCluster(std::string_view candidate, size_t cluster,
   if (!enabled_) return;
   text_ += "{\"type\":\"cluster\",\"candidate\":";
   AppendEscaped(text_, candidate);
-  text_ += ",\"cluster\":" + std::to_string(cluster);
+  AppendField(text_, ",\"cluster\":", cluster);
   text_ += ",\"members\":";
   AppendSizeList(text_, members);
   text_ += "}\n";

@@ -1,29 +1,12 @@
 #include "sxnm/dedup_writer.h"
 
-#include <set>
 #include <string>
-#include <utility>
+#include <unordered_set>
+#include <vector>
 
 namespace sxnm::core {
 
 namespace {
-
-// Removes, below `element`, every child element whose ID is in `remove`;
-// recurses into kept children only (removed subtrees disappear wholesale).
-void RemoveMarked(xml::Element* element,
-                  const std::set<xml::ElementId>& remove, size_t* removed) {
-  for (size_t i = element->NumChildren(); i > 0; --i) {
-    xml::Node* child = element->children()[i - 1].get();
-    xml::Element* child_elem = child->AsElement();
-    if (child_elem == nullptr) continue;
-    if (remove.count(child_elem->id()) > 0) {
-      element->RemoveChild(i - 1);
-      ++*removed;
-    } else {
-      RemoveMarked(child_elem, remove, removed);
-    }
-  }
-}
 
 // Merges attributes and children of `donor` into `survivor` (see
 // RepresentativeStrategy::kFuse).
@@ -36,15 +19,17 @@ void FuseInto(xml::Element* survivor, const xml::Element& donor,
     }
   }
 
-  // Existing child content of the survivor, as (name, deep text) pairs.
-  std::set<std::pair<std::string, std::string>> present;
+  // Existing child content of the survivor as name '\0' deep text (an XML
+  // name holds no NUL, so the pair is unambiguous).
+  auto signature = [](const xml::Element& child) {
+    return child.name() + '\0' + child.DeepText();
+  };
+  std::unordered_set<std::string> present;
   for (const xml::Element* child : survivor->ChildElements()) {
-    present.insert({child->name(), child->DeepText()});
+    present.insert(signature(*child));
   }
   for (const xml::Element* child : donor.ChildElements()) {
-    std::pair<std::string, std::string> signature = {child->name(),
-                                                     child->DeepText()};
-    if (present.insert(signature).second) {
+    if (present.insert(signature(*child)).second) {
       survivor->AddChild(child->Clone());
       ++stats->children_fused;
     }
@@ -60,37 +45,38 @@ util::Result<xml::Document> Deduplicate(const xml::Document& doc,
   if (doc.root() == nullptr) {
     return util::Status::FailedPrecondition("document has no root");
   }
+  const bool fuse = strategy == RepresentativeStrategy::kFuse;
+
+  // kFuse picks each representative by content that earlier clusters
+  // fused into it (a person fused into a movie makes the movie richer), so
+  // it fuses on a full copy first, in cluster order. The copy is numbered
+  // like `doc`, so the detector's element IDs resolve in either.
+  xml::Document fused;
+  if (fuse) fused = doc.Clone();
+  const xml::Document& source = fuse ? fused : doc;
 
   DedupStats local_stats;
-  xml::Document deduped = doc.Clone();  // clone preserves pre-order IDs
-  deduped.AssignElementIds();
-
-  std::set<xml::ElementId> remove;
+  std::vector<bool> drop(source.element_count(), false);
+  std::vector<const xml::Element*> fused_away;  // kFuse: members to remove
   for (const CandidateResult& cand : result.candidates) {
+    auto eid_of = [&cand](size_t ordinal) {
+      return cand.gk.rows[ordinal].eid;
+    };
     for (const auto& cluster : cand.clusters.NonTrivialClusters()) {
       ++local_stats.clusters_collapsed;
-
-      // Resolve ordinals to elements in the clone via the GK relation.
-      auto element_of =
-          [&](size_t ordinal) -> util::Result<xml::Element*> {
-        xml::ElementId eid = cand.gk.rows[ordinal].eid;
-        xml::Element* e = deduped.ElementById(eid);
-        if (e == nullptr) {
+      for (size_t ordinal : cluster) {
+        if (source.ElementById(eid_of(ordinal)) == nullptr) {
           return util::Status::FailedPrecondition(
               "detection result does not match document: missing eid " +
-              std::to_string(eid));
+              std::to_string(eid_of(ordinal)));
         }
-        return e;
-      };
+      }
 
       size_t representative = cluster.front();
-      if (strategy == RepresentativeStrategy::kRichest ||
-          strategy == RepresentativeStrategy::kFuse) {
+      if (strategy != RepresentativeStrategy::kFirst) {
         size_t best_len = 0;
         for (size_t ordinal : cluster) {
-          auto e = element_of(ordinal);
-          if (!e.ok()) return e.status();
-          size_t len = (*e)->DeepText().size();
+          size_t len = source.ElementById(eid_of(ordinal))->DeepTextLength();
           if (len > best_len) {
             best_len = len;
             representative = ordinal;
@@ -98,30 +84,34 @@ util::Result<xml::Document> Deduplicate(const xml::Document& doc,
         }
       }
 
-      if (strategy == RepresentativeStrategy::kFuse) {
-        auto survivor = element_of(representative);
-        if (!survivor.ok()) return survivor.status();
-        for (size_t ordinal : cluster) {
-          if (ordinal == representative) continue;
-          auto donor = element_of(ordinal);
-          if (!donor.ok()) return donor.status();
-          FuseInto(survivor.value(), *donor.value(), &local_stats);
-        }
-      }
-
       for (size_t ordinal : cluster) {
         if (ordinal == representative) continue;
-        remove.insert(cand.gk.rows[ordinal].eid);
+        const xml::ElementId eid = eid_of(ordinal);
+        if (fuse) {
+          FuseInto(fused.ElementById(eid_of(representative)),
+                   *fused.ElementById(eid), &local_stats);
+          fused_away.push_back(fused.ElementById(eid));
+        } else {
+          drop[static_cast<size_t>(eid)] = true;
+        }
       }
     }
   }
 
-  if (deduped.root() != nullptr && remove.count(deduped.root()->id()) > 0) {
+  if (fuse) {
+    // Fused-in children shifted the pre-order IDs: renumber once and mark
+    // the removed members under their new IDs.
+    drop.assign(fused.AssignElementIds(), false);
+    for (const xml::Element* e : fused_away) {
+      drop[static_cast<size_t>(e->id())] = true;
+    }
+  }
+  if (drop[static_cast<size_t>(source.root()->id())]) {
     return util::Status::FailedPrecondition(
         "cannot remove the document root as a duplicate");
   }
-  RemoveMarked(deduped.root(), remove, &local_stats.elements_removed);
-  deduped.AssignElementIds();
+  xml::Document deduped =
+      source.CloneWithout(drop, &local_stats.elements_removed);
 
   if (stats != nullptr) *stats = local_stats;
   return deduped;

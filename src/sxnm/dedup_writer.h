@@ -34,13 +34,16 @@ struct DedupStats {
   size_t children_fused = 0;      // kFuse: child elements copied
 };
 
-/// Returns a de-duplicated deep copy of `doc`: for every candidate cluster
-/// with two or more members, all but the chosen representative are removed
-/// from their parents (together with their subtrees). Element IDs are
-/// re-assigned in the copy.
+/// Returns a de-duplicated copy of `doc`: for every candidate cluster with
+/// two or more members, all but the chosen representative are left out
+/// (together with their subtrees). The output is one filtered copy of the
+/// input, numbered in pre-order as it is built; `doc` is not modified.
+/// kFuse first fuses on a full copy of `doc` and filters that copy.
 ///
 /// `result` must come from running a detector over exactly this `doc`
-/// (element IDs are used to locate the members).
+/// (element IDs are used to locate the members); an ID that `doc` does not
+/// have is a FailedPrecondition, and so is a cluster that would remove the
+/// root.
 util::Result<xml::Document> Deduplicate(
     const xml::Document& doc, const DetectionResult& result,
     RepresentativeStrategy strategy = RepresentativeStrategy::kRichest,

@@ -156,56 +156,142 @@ std::string Element::DirectText() const {
 
 namespace {
 
-void CollectDeepText(const Element& element, std::string& out) {
-  for (const auto& child : element.children()) {
-    if (child->IsText()) {
-      out += static_cast<const TextNode*>(child.get())->text();
-      out += ' ';
-    } else if (const Element* e = child->AsElement()) {
-      CollectDeepText(*e, out);
+// Calls `visit` on every node below `root`, in document order. The walk
+// keeps its own stack, so nesting depth never reaches the machine stack.
+template <typename Visit>
+void ForEachDescendant(const Element& root, Visit visit) {
+  std::vector<const Node*> stack;
+  auto push_children = [&stack](const Element& element) {
+    const auto& children = element.children();
+    for (size_t i = children.size(); i > 0; --i) {
+      stack.push_back(children[i - 1].get());
     }
+  };
+  push_children(root);
+  while (!stack.empty()) {
+    const Node* node = stack.back();
+    stack.pop_back();
+    visit(*node);
+    if (const Element* element = node->AsElement()) push_children(*element);
   }
+}
+
+// Feeds `emit` the characters of util::NormalizeWhitespace applied to the
+// concatenation of every descendant text node, each followed by a space,
+// without building that concatenation: whitespace runs become one space,
+// leading and trailing whitespace is dropped.
+template <typename Emit>
+void EmitDeepText(const Element& root, Emit emit) {
+  bool started = false;  // a non-space character has been emitted
+  bool gap = false;      // whitespace followed it
+  ForEachDescendant(root, [&](const Node& node) {
+    if (!node.IsText()) return;
+    for (char c : static_cast<const TextNode&>(node).text()) {
+      if (util::IsAsciiSpace(c)) {
+        gap = started;
+        continue;
+      }
+      if (gap) emit(' ');
+      emit(c);
+      started = true;
+      gap = false;
+    }
+    gap = started;  // the space after each text node
+  });
 }
 
 }  // namespace
 
 std::string Element::DeepText() const {
   std::string out;
-  CollectDeepText(*this, out);
-  return util::NormalizeWhitespace(out);
+  EmitDeepText(*this, [&out](char c) { out.push_back(c); });
+  return out;
 }
 
-std::unique_ptr<Element> Element::Clone() const {
-  auto copy = std::make_unique<Element>(name_);
-  copy->attributes_ = attributes_;
-  for (const auto& child : children_) {
-    switch (child->kind()) {
-      case NodeKind::kElement:
-        copy->AddChild(static_cast<const Element*>(child.get())->Clone());
+size_t Element::DeepTextLength() const {
+  size_t length = 0;
+  EmitDeepText(*this, [&length](char) { ++length; });
+  return length;
+}
+
+std::unique_ptr<Element> Element::CopyTree(const Element& source,
+                                           const std::vector<bool>& drop_by_id,
+                                           size_t* dropped,
+                                           std::vector<Element*>* by_id) {
+  auto is_dropped = [&drop_by_id](const Element& element) {
+    return element.id_ >= 0 &&
+           static_cast<size_t>(element.id_) < drop_by_id.size() &&
+           drop_by_id[static_cast<size_t>(element.id_)];
+  };
+  // A source node waiting to be copied, and the copy it is appended to.
+  // Children are pushed in reverse, so every parent receives its children
+  // in document order and copies are numbered in pre-order.
+  struct Pending {
+    const Node* source;
+    Element* parent;
+  };
+  std::vector<Pending> stack;
+  auto copy_element = [&stack, by_id](const Element& from) {
+    auto copy = std::make_unique<Element>(from.name_);
+    copy->attributes_ = from.attributes_;
+    copy->children_.reserve(from.children_.size());
+    if (by_id != nullptr) {
+      copy->id_ = static_cast<ElementId>(by_id->size());
+      by_id->push_back(copy.get());
+    }
+    for (size_t i = from.children_.size(); i > 0; --i) {
+      stack.push_back({from.children_[i - 1].get(), copy.get()});
+    }
+    return copy;
+  };
+
+  size_t dropped_count = 0;
+  std::unique_ptr<Element> root;
+  if (is_dropped(source)) {
+    ++dropped_count;
+  } else {
+    root = copy_element(source);
+  }
+  while (!stack.empty()) {
+    const Pending next = stack.back();
+    stack.pop_back();
+    std::unique_ptr<Node> copy;
+    switch (next.source->kind()) {
+      case NodeKind::kElement: {
+        const auto& from = static_cast<const Element&>(*next.source);
+        if (is_dropped(from)) {
+          ++dropped_count;
+          continue;
+        }
+        copy = copy_element(from);
         break;
+      }
       case NodeKind::kText:
       case NodeKind::kCdata: {
-        const auto* t = static_cast<const TextNode*>(child.get());
-        copy->AddChild(std::make_unique<TextNode>(
-            t->text(), t->kind() == NodeKind::kCdata));
+        const auto& text = static_cast<const TextNode&>(*next.source);
+        copy = std::make_unique<TextNode>(text.text(),
+                                          text.kind() == NodeKind::kCdata);
         break;
       }
       case NodeKind::kComment:
-        copy->AddChild(std::make_unique<CommentNode>(
-            static_cast<const CommentNode*>(child.get())->text()));
+        copy = std::make_unique<CommentNode>(
+            static_cast<const CommentNode&>(*next.source).text());
         break;
     }
+    next.parent->AddChild(std::move(copy));
   }
-  return copy;
+  if (dropped != nullptr) *dropped = dropped_count;
+  return root;
+}
+
+std::unique_ptr<Element> Element::Clone() const {
+  return CopyTree(*this, {}, nullptr, nullptr);
 }
 
 size_t Element::SubtreeElementCount() const {
   size_t count = 1;
-  for (const auto& child : children_) {
-    if (const Element* e = child->AsElement()) {
-      count += e->SubtreeElementCount();
-    }
-  }
+  ForEachDescendant(*this,
+                    [&count](const Node& node) { count += node.IsElement(); });
   return count;
 }
 
@@ -248,11 +334,19 @@ const Element* Document::ElementById(ElementId id) const {
   return const_cast<Document*>(this)->ElementById(id);
 }
 
-Document Document::Clone() const {
+Document Document::Clone() const { return CloneWithout({}); }
+
+Document Document::CloneWithout(const std::vector<bool>& drop_by_id,
+                                size_t* dropped) const {
   Document copy;
   copy.version_ = version_;
   copy.encoding_ = encoding_;
-  if (root_ != nullptr) copy.SetRoot(root_->Clone());
+  if (dropped != nullptr) *dropped = 0;
+  if (root_ != nullptr) {
+    copy.elements_by_id_.reserve(elements_by_id_.size());
+    copy.root_ =
+        Element::CopyTree(*root_, drop_by_id, dropped, &copy.elements_by_id_);
+  }
   return copy;
 }
 

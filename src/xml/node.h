@@ -172,8 +172,11 @@ class Element : public Node {
   /// Concatenation of all descendant text, whitespace-normalized.
   std::string DeepText() const;
 
-  /// Recursively clones this element (children, attributes; IDs are reset
-  /// to kInvalidElementId in the clone).
+  /// DeepText().size(), computed without building the string.
+  size_t DeepTextLength() const;
+
+  /// Deep copy of this element (children, attributes; IDs are reset to
+  /// kInvalidElementId in the clone).
   std::unique_ptr<Element> Clone() const;
 
   /// Number of elements in this subtree including this element.
@@ -181,6 +184,18 @@ class Element : public Node {
 
  private:
   friend class Document;
+
+  /// The one copy routine behind Clone() and Document::CloneWithout(): an
+  /// explicit-stack pre-order walk (depth never reaches the machine
+  /// stack). Elements whose ID is marked in `drop_by_id` are left out with
+  /// their subtrees, and `*dropped` counts those top-most drops. With
+  /// `by_id`, each copy takes the next ID in copy order and is appended to
+  /// it. Returns nullptr when `source` itself is dropped.
+  static std::unique_ptr<Element> CopyTree(const Element& source,
+                                           const std::vector<bool>& drop_by_id,
+                                           size_t* dropped,
+                                           std::vector<Element*>* by_id);
+
   std::string name_;
   ElementId id_ = kInvalidElementId;
   std::vector<Attribute> attributes_;
@@ -215,8 +230,18 @@ class Document {
   Element* ElementById(ElementId id);
   const Element* ElementById(ElementId id) const;
 
-  /// Deep copy of the whole document (IDs re-assigned in the copy).
+  /// Deep copy of the whole document, numbered in pre-order as it is
+  /// copied: CloneWithout({}).
   Document Clone() const;
+
+  /// Deep copy that leaves out every element whose current ID is marked
+  /// in `drop_by_id` (IDs past its end are kept), together with its
+  /// subtree. The copy is numbered in pre-order as it is built. When
+  /// `dropped` is non-null it is set to the number of top-most elements
+  /// left out (a marked element inside a dropped subtree is not counted).
+  /// Dropping the root yields a document without a root.
+  Document CloneWithout(const std::vector<bool>& drop_by_id,
+                        size_t* dropped = nullptr) const;
 
   /// Standalone XML declaration flags captured by the parser.
   const std::string& version() const { return version_; }

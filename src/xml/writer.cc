@@ -1,5 +1,8 @@
 #include "xml/writer.h"
 
+#include <string>
+#include <vector>
+
 #include "persist/io.h"
 
 namespace sxnm::xml {
@@ -42,57 +45,10 @@ bool HasTextChild(const Element& element) {
   return false;
 }
 
-void WriteNode(const Node& node, const WriteOptions& options, int depth,
-               std::string& out);
-
-void WriteElementImpl(const Element& element, const WriteOptions& options,
-                      int depth, std::string& out) {
-  std::string pad(options.indent > 0 ? size_t(depth) * size_t(options.indent)
-                                     : 0,
-                  ' ');
-  out += pad;
-  out += '<';
-  out += element.name();
-  for (const auto& attr : element.attributes()) {
-    out += ' ';
-    out += attr.name;
-    out += "=\"";
-    AppendEscaped(attr.value, /*attribute=*/true, out);
-    out += '"';
-  }
-
-  if (element.children().empty()) {
-    out += "/>";
-    if (options.indent > 0) out += '\n';
-    return;
-  }
-
-  out += '>';
-  if (HasTextChild(element) || options.indent <= 0) {
-    // Inline rendering: children written without added whitespace.
-    WriteOptions inline_options = options;
-    inline_options.indent = 0;
-    for (const auto& child : element.children()) {
-      WriteNode(*child, inline_options, 0, out);
-    }
-  } else {
-    out += '\n';
-    for (const auto& child : element.children()) {
-      WriteNode(*child, options, depth + 1, out);
-    }
-    out += pad;
-  }
-  out += "</";
-  out += element.name();
-  out += '>';
-  if (options.indent > 0) out += '\n';
-}
-
-void WriteNode(const Node& node, const WriteOptions& options, int depth,
-               std::string& out) {
+// Text, CDATA and comment nodes: written as they are, never indented.
+void AppendLeaf(const Node& node, std::string& out) {
   switch (node.kind()) {
     case NodeKind::kElement:
-      WriteElementImpl(static_cast<const Element&>(node), options, depth, out);
       break;
     case NodeKind::kText:
       AppendEscaped(static_cast<const TextNode&>(node).text(),
@@ -108,6 +64,64 @@ void WriteNode(const Node& node, const WriteOptions& options, int depth,
       out += static_cast<const CommentNode&>(node).text();
       out += "-->";
       break;
+  }
+}
+
+// Appends the subtree at `root` to `out` in one explicit-stack walk, so
+// nesting depth never reaches the machine stack. With `indent` > 0 each
+// element goes on its own line, indented by its depth, except below an
+// element with a text child (see HasTextChild).
+void AppendTree(const Element& root, int indent, std::string& out) {
+  struct Open {
+    const Element* element;
+    size_t next_child;
+    size_t depth;
+    bool pretty;           // this element is on its own, indented line
+    bool pretty_children;  // and so are its child elements
+  };
+  std::vector<Open> stack;
+  auto open = [&stack, indent, &out](const Element& element, size_t depth,
+                                     bool pretty) {
+    if (pretty) out.append(depth * size_t(indent), ' ');
+    out += '<';
+    out += element.name();
+    for (const auto& attr : element.attributes()) {
+      out += ' ';
+      out += attr.name;
+      out += "=\"";
+      AppendEscaped(attr.value, /*attribute=*/true, out);
+      out += '"';
+    }
+    if (element.children().empty()) {
+      out += "/>";
+      if (pretty) out += '\n';
+      return;
+    }
+    out += '>';
+    const bool pretty_children = pretty && !HasTextChild(element);
+    if (pretty_children) out += '\n';
+    stack.push_back({&element, 0, depth, pretty, pretty_children});
+  };
+
+  open(root, 0, indent > 0);
+  while (!stack.empty()) {
+    Open& top = stack.back();
+    const auto& children = top.element->children();
+    if (top.next_child < children.size()) {
+      const Node& child = *children[top.next_child++];
+      if (const Element* element = child.AsElement()) {
+        open(*element, top.depth + 1, top.pretty_children);
+      } else {
+        AppendLeaf(child, out);
+      }
+      continue;
+    }
+    if (top.pretty_children) out.append(top.depth * size_t(indent), ' ');
+    out += "</";
+    out += top.element->name();
+    out += '>';
+    if (top.pretty) out += '\n';
+    stack.pop_back();
   }
 }
 
@@ -129,7 +143,7 @@ std::string EscapeAttribute(std::string_view s) {
 
 std::string WriteElement(const Element& element, const WriteOptions& options) {
   std::string out;
-  WriteElementImpl(element, options, 0, out);
+  AppendTree(element, options.indent, out);
   // Trim the trailing newline the pretty-printer leaves on the root.
   if (!out.empty() && out.back() == '\n') out.pop_back();
   return out;
@@ -145,10 +159,9 @@ std::string WriteDocument(const Document& doc, const WriteOptions& options) {
     out += "\"?>";
     out += options.indent > 0 ? "\n" : "";
   }
-  if (doc.root() != nullptr) {
-    out += WriteElement(*doc.root(), options);
-    if (options.indent > 0) out += '\n';
-  }
+  // A pretty-printed root already ends in the one newline the document
+  // ends with.
+  if (doc.root() != nullptr) AppendTree(*doc.root(), options.indent, out);
   return out;
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace sxnm::xml {
 namespace {
 
@@ -99,6 +102,32 @@ TEST(ElementTest, CloneIsDeepAndIndependent) {
   EXPECT_EQ(copy->id(), kInvalidElementId) << "clone resets IDs";
 }
 
+TEST(ElementTest, DeepTextLengthMatchesDeepText) {
+  for (const char* texts : {"", " ", "a", "  a  ", "a\tb\n\nc", " x | y ",
+                            "|", "a|b", "a |  b| c ", "\n|\n|"}) {
+    // '|' separates the text nodes of one element.
+    Element e("e");
+    Element* inner = e.AddElement("inner");
+    std::string piece;
+    bool into_inner = false;
+    for (const char* c = texts;; ++c) {
+      if (*c == '|' || *c == '\0') {
+        (into_inner ? inner : &e)->AddText(piece);
+        piece.clear();
+        into_inner = !into_inner;
+        if (*c == '\0') break;
+      } else {
+        piece += *c;
+      }
+    }
+    SCOPED_TRACE(texts);
+    EXPECT_EQ(e.DeepTextLength(), e.DeepText().size());
+  }
+  auto movie = BuildMovie();
+  EXPECT_EQ(movie->DeepText(), "The Matrix Reeves");
+  EXPECT_EQ(movie->DeepTextLength(), movie->DeepText().size());
+}
+
 TEST(ElementTest, SubtreeElementCount) {
   auto movie = BuildMovie();
   // movie, title, people, person, lastname
@@ -137,6 +166,31 @@ TEST(DocumentTest, CloneCopiesStructureAndIds) {
   EXPECT_EQ(copy.element_count(), doc.element_count());
   EXPECT_EQ(copy.ElementById(1)->name(), "title");
   EXPECT_NE(copy.root(), doc.root());
+}
+
+TEST(DocumentTest, CloneWithoutDropsMarkedSubtreesAndRenumbers) {
+  Document doc;
+  doc.SetRoot(BuildMovie());
+  // Pre-order: movie(0), title(1), people(2), person(3), lastname(4).
+  // Marking people and the person inside it drops one top-most subtree.
+  std::vector<bool> drop = {false, false, true, true};
+  size_t dropped = 99;
+  Document copy = doc.CloneWithout(drop, &dropped);
+  EXPECT_EQ(dropped, 1u);
+  ASSERT_EQ(copy.element_count(), 2u);
+  EXPECT_EQ(copy.ElementById(0), copy.root());
+  EXPECT_EQ(copy.ElementById(1)->name(), "title");
+  EXPECT_EQ(copy.ElementById(1)->id(), 1);
+  EXPECT_EQ(copy.ElementById(1)->parent(), copy.root());
+  EXPECT_EQ(copy.root()->AttributeOr("year", ""), "1999");
+  EXPECT_EQ(copy.root()->DeepText(), "The Matrix");
+  EXPECT_EQ(doc.element_count(), 5u) << "source untouched";
+
+  // Dropping the root leaves a document without one.
+  Document none = doc.CloneWithout({true}, &dropped);
+  EXPECT_EQ(none.root(), nullptr);
+  EXPECT_EQ(none.element_count(), 0u);
+  EXPECT_EQ(dropped, 1u);
 }
 
 TEST(DocumentTest, EmptyDocument) {

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "sxnm/dedup_writer.h"
 #include "xml/parser.h"
+#include "xml/writer.h"
 #include "xml/xpath.h"
 
 namespace sxnm::xml {
@@ -56,6 +58,31 @@ TEST(ParserLimitsTest, DepthLimitIsHardEvenInRecoverMode) {
   auto recovered = ParseRecovering(Nested(50), options);
   ASSERT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(ParserLimitsTest, TwoHundredThousandDeepDocumentSurvivesWholeTreeWalks) {
+  // Far beyond what one stack frame per level would survive: parse,
+  // clone, de-duplicate, write and deep-text all walk iteratively.
+  constexpr size_t kDepth = 200'000;
+  ParseOptions options;
+  options.max_depth = kDepth;
+  auto doc = Parse(Nested(kDepth), options);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+
+  Document copy = doc->Clone();
+  EXPECT_EQ(copy.element_count(), kDepth);
+  auto deduped = core::Deduplicate(copy, core::DetectionResult());
+  ASSERT_TRUE(deduped.ok()) << deduped.status().ToString();
+  EXPECT_EQ(deduped->element_count(), kDepth);
+
+  // Indent 0: pretty-printing pads each line by its depth, which is
+  // quadratic in output size at this depth.
+  WriteOptions flat;
+  flat.indent = 0;
+  flat.declaration = false;
+  EXPECT_EQ(WriteDocument(deduped.value(), flat), Nested(kDepth));
+  EXPECT_EQ(deduped->root()->DeepText(), "x");
+  EXPECT_EQ(deduped->root()->DeepTextLength(), 1u);
 }
 
 TEST(ParserLimitsTest, MultiMegabyteTextNodeParses) {
