@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <sstream>
 #include <unordered_map>
@@ -26,28 +25,28 @@ uint64_t PackPair(core::OrdinalPair pair) {
          static_cast<uint64_t>(pair.second);
 }
 
-// Replays one pass's window enumeration: the same order, policy, and
-// window the pass ran with, cut to the executed prefix (`limit`) when
-// governance stopped it early. ForEachWindowPairInterruptible visits a
-// prefix of the plain enumeration order, so counting to `limit`
-// reproduces the executed pair set exactly.
+// Replays one pass's whole-relation window enumeration: the same order,
+// policy, and window the pass ran with, stopped after its executed pair
+// count (`limit`) when governance cut it short. A cut-short pass visits a
+// prefix of each shard's range, so the replay's prefix of the whole
+// enumeration is exactly the executed set only for shards = 1; with more
+// shards the executed set is a union of per-shard prefixes and the replay
+// marks the same number of pairs, not necessarily the same ones.
+template <typename Visit>
 void EnumeratePass(const core::GkTable& gk, size_t key_index,
                    const std::vector<size_t>& order,
                    const core::CandidateConfig& cand, size_t window,
-                   bool adaptive, size_t limit,
-                   const std::function<void(size_t, size_t)>& visit) {
-  size_t count = 0;
-  auto limited = [&](size_t a, size_t b) {
-    if (count++ < limit) visit(a, b);
-  };
+                   bool adaptive, size_t limit, Visit&& visit) {
+  auto stop = [left = limit]() mutable { return left-- == 0; };
   if (adaptive) {
     auto key_of = [&](size_t ordinal) -> const std::string& {
       return gk.rows[ordinal].keys[key_index];
     };
     core::ForEachAdaptiveWindowPair(order, key_of, window, cand.max_window,
-                                    cand.adaptive_prefix_len, limited);
+                                    cand.adaptive_prefix_len, 0, order.size(),
+                                    stop, visit);
   } else {
-    core::ForEachWindowPair(order, window, limited);
+    core::ForEachWindowPair(order, window, 0, order.size(), stop, visit);
   }
 }
 

@@ -291,6 +291,11 @@ Result<EngineSnapshot::GkState> DecodeGkTable(std::string_view payload) {
     ASSIGN_OR_RETURN(row.ods, DecodeStringList(dec));
     uint64_t num_norm;
     ASSIGN_OR_RETURN(num_norm, dec.GetCount(dec.remaining() / 8));
+    // Key generation interns every OD value, and the detector relies on
+    // it (the exact-OD pre-pass groups rows by pool IDs).
+    if (num_norm != row.ods.size()) {
+      return Corrupt("normalized-OD count differs from the OD count");
+    }
     row.norm_ods.reserve(static_cast<size_t>(num_norm));
     for (uint64_t j = 0; j < num_norm; ++j) {
       OdRef ref;
@@ -309,6 +314,8 @@ Result<EngineSnapshot::GkState> DecodeGkTable(std::string_view payload) {
 }
 
 // --- Spill rows (external sort) --------------------------------------------
+
+namespace {
 
 void EncodeSpillRow(const GkRow& row, const OdPool& pool, Encoder& enc) {
   enc.PutU64(row.ordinal);
@@ -336,6 +343,45 @@ Result<GkRow> DecodeSpillRow(std::string_view payload, OdPool* pool) {
   }
   if (!dec.AtEnd()) return Corrupt("trailing bytes after spill row");
   return row;
+}
+
+}  // namespace
+
+Result<std::vector<size_t>> ExternalSortedOrder(
+    const GkTable& table, size_t key_index,
+    const extsort::ExtSortOptions& options, obs::Tracer& tracer,
+    extsort::ExtSortStats* stats) {
+  extsort::ExternalSorter sorter(options);
+  {
+    obs::Tracer::Span spill_span = tracer.StartSpan("extsort/spill");
+    for (const GkRow& row : table.rows) {
+      Encoder enc;
+      EncodeSpillRow(row, table.od_pool, enc);
+      SXNM_RETURN_IF_ERROR(sorter.Add(row.keys[key_index], enc.bytes()));
+    }
+  }
+  obs::Tracer::Span merge_span = tracer.StartSpan("extsort/merge");
+  auto stream = sorter.Finish();
+  if (!stream.ok()) return stream.status();
+  std::vector<size_t> order;
+  order.reserve(table.rows.size());
+  OdPool scratch_pool;  // bounded by the pass's distinct OD values
+  extsort::SortedRecord record;
+  while (true) {
+    auto more = (*stream)->Next(&record);
+    if (!more.ok()) return more.status();
+    if (!*more) break;
+    auto row = DecodeSpillRow(record.payload, &scratch_pool);
+    if (!row.ok()) return row.status();
+    order.push_back(static_cast<size_t>(row->ordinal));
+  }
+  if (order.size() != table.rows.size()) {
+    return Status::DataLoss("external sort '" + options.name + "' returned " +
+                            std::to_string(order.size()) + " of " +
+                            std::to_string(table.rows.size()) + " rows");
+  }
+  *stats = sorter.stats();
+  return order;
 }
 
 // --- Cluster set -----------------------------------------------------------
@@ -657,6 +703,34 @@ Status SaveEngineSnapshot(const EngineSnapshotView& view,
   return persist::AtomicWriteFile(path, bytes);
 }
 
+Status CommitEngineSnapshot(
+    EngineSnapshotView view, const std::string& path,
+    const std::vector<DetectionReport::Row>& report_rows,
+    obs::MetricsRegistry& metrics, const obs::ExplainLog& explain) {
+  obs::MetricsSnapshot metrics_snapshot;
+  if (metrics.enabled()) {
+    view.report_rows = &report_rows;
+    metrics_snapshot = metrics.Snapshot();
+    view.metrics = &metrics_snapshot;
+  }
+  if (explain.enabled()) {
+    view.explain_text = &explain.text();
+    view.explain_tallies[0] = explain.owned_pairs();
+    view.explain_tallies[1] = explain.prepass_pairs();
+  }
+  SnapshotWriteStats stats;
+  SXNM_RETURN_IF_ERROR(SaveEngineSnapshot(view, path, &stats));
+  if (metrics.enabled()) {
+    // Counted after the commit (and so absent from the frame just
+    // written): persist.* counters describe *this* run's IO, differ
+    // between resumed and uninterrupted runs by design, and are excluded
+    // from determinism digests like the wall-time counters.
+    metrics.counter("persist.snapshot_writes").Add(1);
+    metrics.counter("persist.snapshot_bytes_total").Add(stats.bytes);
+  }
+  return Status::Ok();
+}
+
 Result<EngineSnapshot> LoadEngineSnapshot(
     const std::string& path, const CheckpointFingerprint& expected) {
   auto bytes = persist::ReadFileToString(path);
@@ -702,6 +776,22 @@ Result<EngineSnapshot> LoadEngineSnapshot(
     EngineSnapshot::CompletedCandidate completed;
     ASSIGN_OR_RETURN(completed, DecodeCandidateResult(frame->payload));
     snapshot.completed.push_back(std::move(completed));
+  }
+  // The GK frames cover candidates 0..n-1 once each; every completed
+  // candidate is one of them, once.
+  std::vector<char> has_gk(snapshot.gk.size(), 0);
+  for (const EngineSnapshot::GkState& state : snapshot.gk) {
+    if (state.index >= has_gk.size() || has_gk[state.index]++ != 0) {
+      return Corrupt("GK frame candidate index invalid or duplicated");
+    }
+  }
+  std::vector<char> has_result(snapshot.gk.size(), 0);
+  for (const EngineSnapshot::CompletedCandidate& completed :
+       snapshot.completed) {
+    if (completed.index >= has_result.size() ||
+        has_result[completed.index]++ != 0) {
+      return Corrupt("completed-candidate index invalid or duplicated");
+    }
   }
   if (const Frame* frame = reader->Find(FrameType::kDegradation)) {
     ASSIGN_OR_RETURN(snapshot.degradation, DecodeDegradation(frame->payload));

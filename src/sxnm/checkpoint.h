@@ -25,7 +25,10 @@
 #include <utility>
 #include <vector>
 
+#include "extsort/extsort.h"
+#include "obs/explain.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "persist/snapshot.h"
 #include "sxnm/config.h"
 #include "sxnm/detection_report.h"
@@ -139,9 +142,21 @@ util::Status SaveEngineSnapshot(const EngineSnapshotView& view,
                                 const std::string& path,
                                 SnapshotWriteStats* stats = nullptr);
 
+/// Commits one snapshot of a running detection to `path`. `view` carries
+/// the engine's state; its observability parts are filled in here from
+/// `report_rows`, `metrics` and `explain`, each only when enabled. A
+/// commit is counted in persist.snapshot_writes /
+/// persist.snapshot_bytes_total after it lands, so a frame never holds
+/// its own commit.
+util::Status CommitEngineSnapshot(
+    EngineSnapshotView view, const std::string& path,
+    const std::vector<DetectionReport::Row>& report_rows,
+    obs::MetricsRegistry& metrics, const obs::ExplainLog& explain);
+
 /// Loads, verifies, and decodes the snapshot at `path`:
 ///   kNotFound           — no snapshot (caller starts fresh);
-///   kDataLoss           — torn, truncated, or checksum-corrupt;
+///   kDataLoss           — torn, truncated, or checksum-corrupt, or
+///                         candidate indices out of range or repeated;
 ///   kFailedPrecondition — valid snapshot of a different config,
 ///                         document, observability shape, or format
 ///                         version.
@@ -183,16 +198,17 @@ void EncodeMetricsSnapshot(const obs::MetricsSnapshot& snapshot,
 util::Result<obs::MetricsSnapshot> DecodeMetricsSnapshot(
     std::string_view payload);
 
-/// One GK row serialized for an external-sort spill run. Unlike the
-/// GkTable codec, spill rows travel without their pool: normalized OD
-/// values are materialized inline and re-interned on decode, so a row
-/// is self-contained across the spill/merge round trip.
-void EncodeSpillRow(const GkRow& row, const OdPool& pool,
-                    persist::Encoder& enc);
-
-/// Decodes a spill row, re-interning its normalized OD values into
-/// `pool`. Structural corruption surfaces as kDataLoss.
-util::Result<GkRow> DecodeSpillRow(std::string_view payload, OdPool* pool);
+/// `table.SortedOrder(key_index)` computed out of core: every row travels
+/// through the external sorter as a spill row — unlike the GkTable codec,
+/// with its normalized OD values inline, so a row is self-contained — and
+/// the sorter's (key, insertion-seq) merge reproduces the stable sort
+/// exactly. Rows are fully decoded on the way back, which validates every
+/// spilled byte. Spill faults, ENOSPC and corrupt run files are returned;
+/// `stats` receives the sorter's counters.
+util::Result<std::vector<size_t>> ExternalSortedOrder(
+    const GkTable& table, size_t key_index,
+    const extsort::ExtSortOptions& options, obs::Tracer& tracer,
+    extsort::ExtSortStats* stats);
 
 }  // namespace sxnm::core
 

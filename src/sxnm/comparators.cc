@@ -203,7 +203,8 @@ util::Result<DetectionResult> TopDownDetector::Run(
       // Root candidate: multi-pass sorted window.
       for (size_t key_index = 0; key_index < table.num_keys; ++key_index) {
         std::vector<size_t> order = table.SortedOrder(key_index);
-        ForEachWindowPair(order, options_.root_window, compare);
+        ForEachWindowPair(order, options_.root_window, 0, order.size(),
+                          NeverStop{}, compare);
       }
     } else {
       // Child candidate: compare only within a parent cluster ("children

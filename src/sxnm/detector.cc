@@ -1,12 +1,11 @@
 #include "sxnm/detector.h"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -15,7 +14,6 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "persist/io.h"
-#include "persist/snapshot.h"
 #include "sxnm/checkpoint.h"
 #include "sxnm/shard_plan.h"
 #include "sxnm/similarity_measure.h"
@@ -26,7 +24,6 @@
 #include "util/fault_injection.h"
 #include "util/flat_set.h"
 #include "util/parallel.h"
-#include "util/string_util.h"
 
 namespace sxnm::core {
 
@@ -40,22 +37,6 @@ const CandidateResult* DetectionResult::Find(std::string_view name) const {
   return nullptr;
 }
 
-double DetectionResult::KeyGenerationSeconds() const {
-  return timer.Seconds(kPhaseKeyGeneration);
-}
-
-double DetectionResult::SlidingWindowSeconds() const {
-  return timer.Seconds(kPhaseSlidingWindow);
-}
-
-double DetectionResult::TransitiveClosureSeconds() const {
-  return timer.Seconds(kPhaseTransitiveClosure);
-}
-
-double DetectionResult::DuplicateDetectionSeconds() const {
-  return SlidingWindowSeconds() + TransitiveClosureSeconds();
-}
-
 size_t DetectionResult::TotalComparisons() const {
   size_t total = 0;
   for (const CandidateResult& c : candidates) total += c.comparisons;
@@ -64,47 +45,53 @@ size_t DetectionResult::TotalComparisons() const {
 
 namespace {
 
-// Pairs are packed into one word for the flat hash sets of the merge
-// (ordinals beyond 2^32 instances per candidate are far outside any
-// supported document size).
+// One word per pair for the pre-pass's hash set (ordinals stay < 2^32).
 uint64_t PackPair(OrdinalPair pair) {
   return (static_cast<uint64_t>(pair.first) << 32) |
          static_cast<uint64_t>(pair.second);
 }
 
-// One windowed pair as recorded by a pass worker. Only the verdict's
-// classification survives into the merge; everything else about the
-// verdict is pair-deterministic and need not be kept (the explain log's
-// record of it is written by the worker itself). The pair is stored
-// pre-packed (what the merge's dedup set keys on anyway), keeping the
-// struct at 16 bytes — every windowed pair writes one of these, so the
-// hit buffers are the largest per-pass memory stream.
-struct PassHit {
-  uint64_t packed;  // PackPair of the ordinal pair
-  bool is_duplicate;
-
-  OrdinalPair pair() const {
-    return {static_cast<size_t>(packed >> 32),
-            static_cast<size_t>(packed & 0xffffffffull)};
-  }
-};
-
-// Bucket index of a similarity score under DefaultSimilarityBounds(),
-// matching Histogram::Observe's lower_bound placement so the per-pass
-// sim_buckets and the engine-wide sw.similarity histogram agree.
+// Bucket of a score under DefaultSimilarityBounds(), placed like
+// Histogram::Observe, so sim_buckets agree with sw.similarity.
 size_t SimilarityBucket(double value) {
   static const std::vector<double> bounds = obs::DefaultSimilarityBounds();
   return static_cast<size_t>(
       std::lower_bound(bounds.begin(), bounds.end(), value) - bounds.begin());
 }
 
-// The governor's verdict for one window pass, fixed at level setup time
-// (serially, in deterministic pass order) before any worker runs.
-struct PassPlan {
-  bool skip = false;     // pass elided entirely
-  bool shrunk = false;   // boundary pass: window reduced to fit the budget
-  size_t window = 0;     // window to run with (0 when skipped)
-  size_t planned = 0;    // WindowPairCount(instances, configured window)
+// The governor's verdict for one window pass. The WindowPlan base is the
+// neighborhood the pass enumerates.
+struct PassPlan : WindowPlan {
+  bool skip = false;    // pass elided entirely (window 0)
+  bool shrunk = false;  // boundary pass: window reduced to fit the budget
+  size_t planned = 0;   // WindowPairCount(instances, configured window)
+};
+
+// One (pass, shard) task's output, written by exactly one worker.
+struct ShardWork {
+  Status status;
+  bool stopped_early = false;  // cancellation or deadline cut the shard
+  PassStats stats;
+  size_t owned_comparisons = 0;  // visited, windowed by no earlier pass
+  std::vector<OrdinalPair> duplicates;  // in visit order
+  // `owned` pair records in visit order. A pass's shard logs in shard
+  // order reproduce the unsharded visit order (the shard_plan.h owner
+  // rule), so the explain bytes do not depend on the shard count.
+  obs::ExplainLog explain{false};
+};
+
+// One window pass of a candidate. The order stage computes its order and
+// inverse rank once (for skipped passes only with the explain log on,
+// whose instance records carry per-pass ranks).
+struct PassRun {
+  PassPlan plan;
+  std::vector<size_t> order;
+  std::vector<uint32_t> rank;  // rank[ordinal] = position in `order`
+  Status order_status;
+  extsort::ExtSortStats sort_stats;  // zero unless sorted out of core
+  std::vector<ShardWork> shards;
+  PassStats stats;  // the shards' stats, reduced after the window stage
+  bool stopped_early = false;
 };
 
 // Per-candidate state for one depth level of the bottom-up order.
@@ -114,245 +101,159 @@ struct CandidateRun {
   const CandidateConfig* cand = nullptr;
   const GkTable* table = nullptr;
   std::unique_ptr<SimilarityMeasure> measure;
-
-  // False when key generation for this candidate was cut off by
-  // cancellation: every pass is then skipped (a partial GK relation would
-  // make the windowing depend on where the cut landed).
+  // False when cancellation cut key generation: every pass is skipped (a
+  // partial GK relation would make the windowing depend on the cut).
   bool kg_ok = true;
-
-  // DE-SNM exact-OD pre-pass output: byte-identical normalized ODs are
-  // duplicates by definition. Both sets are read-only while the window
-  // passes run.
+  // DE-SNM exact-OD pre-pass: byte-identical normalized ODs are duplicates.
   util::FlatU64Set prepass_pairs;
   std::vector<OrdinalPair> prepass_accepted;
-
-  // pass_orders[key_index]: the pass's sorted order, computed once in
-  // the level's order stage (in-memory stable sort, or the external
-  // sorter when a memory budget is set — bit-identical either way) and
-  // read by every shard of the pass plus the explain emitter.
-  std::vector<std::vector<size_t>> pass_orders;
-
-  // pass_hits[key_index][shard]: the shard's windowed pairs with
-  // verdicts, in visit order. Written by exactly one shard task each.
-  // Concatenating a pass's shard buffers in shard order reproduces the
-  // unsharded pass's visit order exactly (the shard_plan.h owner rule),
-  // which is what keeps the merge — and the explain byte stream —
-  // bit-identical for any shard count.
-  std::vector<std::vector<std::vector<PassHit>>> pass_hits;
-
-  // pass_explain[key_index * num_shards + shard]: with the explain log
-  // on, the shard's `owned` pair records, written by its worker in visit
-  // order (same owner rule as pass_hits) and concatenated in index order
-  // by the merge. Empty when explain is off.
-  std::vector<obs::ExplainLog> pass_explain;
-
-  // shard_stats[key_index][shard]: each shard task's tallies, reduced
-  // serially into pass_stats[key_index] (the pass's report row) after
-  // the level's shard tasks join. Collected unconditionally — a handful
-  // of integer increments next to an edit-distance DP — and only
-  // published to the registry / report when metrics are on.
-  std::vector<std::vector<PassStats>> shard_stats;
-  std::vector<PassStats> pass_stats;
-
-  // The run's shard slices: contiguous owned ranges of entering
-  // positions, shared by all of its passes (ownership is window-
-  // independent; the context accounting uses the candidate's widest
-  // window).
-  std::vector<ShardSlice> shard_plan;
-
-  // Governance state: the governor's plan and order-stage status per
-  // key_index; enumeration outcomes and statuses per (key_index, shard),
-  // single-writer like pass_hits, with shard_outcomes reduced into
-  // outcomes[key_index] after the level joins.
-  std::vector<PassPlan> plans;
-  std::vector<std::vector<WindowRunResult>> shard_outcomes;
-  std::vector<WindowRunResult> outcomes;
-  std::vector<util::Status> pass_status;
-  std::vector<std::vector<util::Status>> shard_status;
+  std::vector<ShardSlice> shard_plan;  // owned entering ranges
+  std::vector<PassRun> passes;  // one per key, in definition order
 };
 
-// DE-SNM-style pre-pass (runs before the window passes so their workers
-// can skip the already-accepted pairs): link every instance whose whole
-// normalized OD matches an earlier instance's to the group's first
-// instance (the closure expands the group).
+using PassTask = std::pair<size_t, size_t>;
+
+// Links every instance whose normalized ODs equal an earlier instance's to
+// the group's first instance. Key generation and the snapshot decode both
+// intern every OD value, so equal pool-ID tuples mean equal bytes.
 void RunExactOdPrepass(CandidateRun& run) {
   const GkTable& table = *run.table;
-
-  // Fast path: with every row's normalized ODs interned, two OD tuples
-  // are byte-identical iff their pool-ID tuples match, so the group key
-  // is the raw ID bytes — no string assembly, no byte comparisons.
-  bool all_interned = true;
+  std::unordered_map<std::string, size_t> first_of;
+  first_of.reserve(table.rows.size());
+  std::string key;
   for (const GkRow& row : table.rows) {
-    if (row.norm_ods.size() != row.ods.size()) {
-      all_interned = false;
-      break;
+    key.clear();
+    for (const OdRef& ref : row.norm_ods) {
+      uint32_t id = ref.id;
+      key.append(reinterpret_cast<const char*>(&id), sizeof(id));
     }
-  }
-  auto group = [&run](auto& first_of, auto&& key, size_t ordinal) {
-    auto [it, inserted] =
-        first_of.emplace(std::forward<decltype(key)>(key), ordinal);
+    auto [it, inserted] = first_of.emplace(key, row.ordinal);
     if (!inserted) {
-      OrdinalPair pair = std::minmax(it->second, ordinal);
+      OrdinalPair pair = std::minmax(it->second, row.ordinal);
       run.prepass_pairs.Insert(PackPair(pair));
       run.prepass_accepted.push_back(pair);
     }
-  };
-  if (all_interned) {
-    std::unordered_map<std::string, size_t> first_of;
-    first_of.reserve(table.rows.size());
-    std::string key;
-    for (const GkRow& row : table.rows) {
-      key.clear();
-      for (const OdRef& ref : row.norm_ods) {
-        uint32_t id = ref.id;
-        key.append(reinterpret_cast<const char*>(&id), sizeof(id));
-      }
-      group(first_of, key, row.ordinal);
-    }
-    return;
-  }
-
-  // Rows built by hand may lack interned ODs; normalize on the fly.
-  std::map<std::string, size_t> first_of;
-  for (const GkRow& row : table.rows) {
-    std::string key;
-    for (size_t i = 0; i < row.ods.size(); ++i) {
-      key += util::ToLower(util::NormalizeWhitespace(row.ods[i]));
-      key += '\x1f';
-    }
-    group(first_of, std::move(key), row.ordinal);
   }
 }
 
-// Worker-visible spill telemetry, reduced into the extsort gauges at
-// the level's serial quiescent point.
-struct ExtSortHighWater {
-  std::atomic<uint64_t> spill_bytes_peak{0};
-  std::atomic<uint64_t> merge_fanin_max{0};
+// Resource governance of one run. A deadline with a positive rate becomes
+// a comparison budget here, once, so the shed work set is a pure function
+// of config + data; rate 0 keeps a live deadline, polled cooperatively.
+struct Governor {
+  Governor(const RunLimits& limits, const util::CancellationToken& token)
+      : token(token),
+        budget(limits.ResolveComparisonBudget()),
+        wallclock_mode(limits.deadline_seconds > 0.0 &&
+                       limits.comparisons_per_second == 0.0),
+        deadline(wallclock_mode ? util::Deadline::After(limits.deadline_seconds)
+                                : util::Deadline::Infinite()),
+        interruptible(token.can_be_cancelled() || deadline.has_deadline()),
+        // Which governance source binds first, for the degradation reason.
+        budget_reason(limits.deadline_seconds > 0.0 &&
+                              (limits.max_comparisons == 0 ||
+                               budget < limits.max_comparisons)
+                          ? util::StatusCode::kDeadlineExceeded
+                          : util::StatusCode::kResourceExhausted) {}
 
-  void Update(const extsort::ExtSortStats& stats) {
-    auto raise = [](std::atomic<uint64_t>& slot, uint64_t value) {
-      uint64_t seen = slot.load(std::memory_order_relaxed);
-      while (seen < value &&
-             !slot.compare_exchange_weak(seen, value,
-                                         std::memory_order_relaxed)) {
-      }
-    };
-    raise(spill_bytes_peak, stats.spill_bytes);
-    raise(merge_fanin_max, stats.runs);
+  void Observe() {  // sticky
+    if (token.cancelled()) cancelled = true;
+    if (deadline.expired()) wall_expired = true;
   }
+
+  // Cut work is timing-dependent: never checkpointed, re-run on resume.
+  bool cut() const { return cancelled || wall_expired; }
+
+  // Plans one pass, in deterministic order: passes run in full while the
+  // planned cost fits the budget, the first that does not shrinks to the
+  // largest window that fits (the paper's own knob), the rest are skipped.
+  PassPlan Plan(const CandidateConfig& cand, size_t rows, bool kg_ok) {
+    PassPlan plan;
+    plan.planned = WindowPairCount(rows, cand.window_size);
+    if (token.cancelled()) cancelled = true;
+    plan.skip = !kg_ok || cut() || (budget > 0 && budget_exhausted);
+    if (plan.skip) return plan;
+    plan.window = cand.window_size;
+    if (budget > 0 && budget_spent + plan.planned > budget) {
+      // A shrunk pass stays fixed: adaptive extension would overrun it.
+      budget_exhausted = true;
+      plan.window = LargestWindowWithin(rows, cand.window_size,
+                                        budget - budget_spent);
+      plan.shrunk = plan.window >= 2;
+      plan.skip = !plan.shrunk;
+      if (plan.shrunk) budget_spent += WindowPairCount(rows, plan.window);
+      return plan;
+    }
+    if (budget > 0) budget_spent += plan.planned;
+    plan.adaptive = cand.window_policy == WindowPolicy::kAdaptivePrefix;
+    if (plan.adaptive) {
+      plan.max_window = cand.max_window;
+      plan.prefix_len = cand.adaptive_prefix_len;
+    }
+    return plan;
+  }
+
+  const util::CancellationToken& token;
+  const size_t budget;
+  const bool wallclock_mode;
+  const util::Deadline deadline;
+  const bool interruptible;
+  const util::StatusCode budget_reason;
+  bool cancelled = false;
+  bool wall_expired = false;
+  size_t budget_spent = 0;
+  bool budget_exhausted = false;
 };
 
-// The order stage of one pass: computes the sorted order every shard of
-// the pass (and the explain emitter) reads. With no memory budget this
-// is the GK table's resident stable sort; with one, rows are serialized
-// through the spill codec and routed through the external sorter, whose
-// (key, insertion-seq) merge reproduces the stable sort exactly — the
-// two paths yield the same permutation, so detection output is
-// bit-identical either way. Skipped passes still need an order when the
-// explain log is on (instance records carry per-pass sort ranks); they
-// take the resident path — governance skipped their *enumeration*, not
-// the relation. Failures (injected spill faults, ENOSPC, corrupt run
-// files) land in pass_status.
-void ComputePassOrder(CandidateRun& run, size_t key_index, bool explain_on,
-                      uint64_t sorter_budget, const std::string& spill_dir,
-                      obs::MetricsRegistry& metrics, obs::Tracer& tracer,
-                      ExtSortHighWater& high_water) {
-  const PassPlan& plan = run.plans[key_index];
-  if (!run.kg_ok) return;
-  if (plan.skip && !explain_on) return;
-  const GkTable& table = *run.table;
-  if (sorter_budget == 0 || plan.skip) {
-    obs::Tracer::Span sort_span = tracer.StartSpan("sw/sort");
-    run.pass_orders[key_index] = table.SortedOrder(key_index);
-    return;
+// True when an earlier, enumerating pass windows the pair: it counts it.
+bool WindowedEarlier(const CandidateRun& run, size_t key_index, size_t a,
+                     size_t b) {
+  for (size_t j = 0; j < key_index; ++j) {
+    const PassRun& earlier = run.passes[j];
+    if (earlier.plan.skip) continue;
+    auto key_of = [&](size_t ordinal) -> const std::string& {
+      return run.table->rows[ordinal].keys[j];
+    };
+    if (Windowed(earlier.plan, earlier.rank, key_of, a, b)) return true;
   }
-  extsort::ExtSortOptions options;
-  options.memory_budget_bytes = sorter_budget;
-  options.temp_dir = spill_dir;
-  options.name = "sxnm." + run.cand->name + ".pass" +
-                 std::to_string(key_index + 1);
-  options.metrics = metrics.enabled() ? &metrics : nullptr;
-  extsort::ExternalSorter sorter(options);
-  {
-    obs::Tracer::Span spill_span = tracer.StartSpan("extsort/spill");
-    for (const GkRow& row : table.rows) {
-      persist::Encoder enc;
-      EncodeSpillRow(row, table.od_pool, enc);
-      Status s = sorter.Add(row.keys[key_index], enc.bytes());
-      if (!s.ok()) {
-        run.pass_status[key_index] = s;
-        return;
-      }
-    }
-  }
-  obs::Tracer::Span merge_span = tracer.StartSpan("extsort/merge");
-  auto stream = sorter.Finish();
-  if (!stream.ok()) {
-    run.pass_status[key_index] = stream.status();
-    return;
-  }
-  std::vector<size_t>& order = run.pass_orders[key_index];
-  order.reserve(table.rows.size());
-  // Full decode rather than peeking the ordinal: the round trip
-  // validates every spilled byte (CRC already guards the frames; this
-  // guards the codec), and the scratch pool is bounded by the pass's
-  // distinct OD values.
-  OdPool scratch_pool;
-  extsort::SortedRecord record;
-  while (true) {
-    auto more = (*stream)->Next(&record);
-    if (!more.ok()) {
-      run.pass_status[key_index] = more.status();
-      return;
-    }
-    if (!*more) break;
-    auto row = DecodeSpillRow(record.payload, &scratch_pool);
-    if (!row.ok()) {
-      run.pass_status[key_index] = row.status();
-      return;
-    }
-    order.push_back(static_cast<size_t>(row->ordinal));
-  }
-  if (order.size() != table.rows.size()) {
-    run.pass_status[key_index] = Status::DataLoss(
-        "external sort of candidate '" + run.cand->name + "' pass " +
-        std::to_string(key_index + 1) + " returned " +
-        std::to_string(order.size()) + " of " +
-        std::to_string(table.rows.size()) + " rows");
-    return;
-  }
-  high_water.Update(sorter.stats());
+  return false;
 }
 
-// One shard of one window pass: enumerates the windowed pairs whose
-// entering position falls in the shard's owned range and compares them,
-// buffering (pair, verdict) locally — with the explain log on, also the
-// pair's record, carrying the trace of the same Decide call. Pairs
-// already accepted by the exact-OD pre-pass are skipped, exactly as the
-// serial detector skips pairs in its `compared` set; every other
-// windowed pair goes to the similarity kernel. A pair windowed by more
-// than one key pass is classified by each of them — the verdict is a
-// pure function of the pair — and the deterministic merge drops the
-// repeats. Within one pass no pair spans two shards (each pair belongs
-// to its entering position's owner), so the shard tasks share nothing
-// but read-only state.
+// Publishes one shard's tallies from its worker thread, so each add lands
+// on that worker's own metric shard.
+void PublishShardMetrics(const PassStats& stats,
+                         obs::MetricsRegistry& metrics) {
+  metrics.counter("sw.pairs_windowed").Add(stats.pairs_windowed);
+  metrics.counter("sw.prepass_skips").Add(stats.prepass_skips);
+  metrics.counter("sw.comparisons").Add(stats.comparisons);
+  metrics.counter("sw.hits").Add(stats.hits);
+  metrics.counter("sw.ed_bailouts").Add(stats.ed_bailouts);
+  metrics.counter("sw.desc_jaccard").Add(stats.desc_invocations);
+  metrics.counter("sw.desc_short_circuits").Add(stats.desc_short_circuits);
+  metrics.counter("sw.interned_equal").Add(stats.interned_equal);
+  metrics.counter("text.myers_words").Add(stats.myers_words);
+  metrics.histogram("sw.pass_seconds", obs::DefaultTimeBounds())
+      .Observe(stats.wall_seconds);
+}
+
+// One shard of one window pass: classifies every windowed pair entering
+// in the shard's owned range that the pre-pass has not accepted. A pair
+// windowed by several passes is classified by each but counted as a
+// distinct comparison by the first only. Shards share read-only state.
 void RunWindowPass(CandidateRun& run, size_t key_index, size_t shard,
-                   const util::CancellationToken& token,
-                   const util::Deadline& deadline, bool interruptible,
-                   obs::MetricsRegistry& metrics, obs::Tracer& tracer) {
-  const PassPlan& plan = run.plans[key_index];
+                   const Governor& gov, obs::MetricsRegistry& metrics,
+                   obs::Tracer& tracer) {
+  const PassRun& pass = run.passes[key_index];
+  const PassPlan& plan = pass.plan;
+  ShardWork& work = run.passes[key_index].shards[shard];
   if (plan.skip) return;
   if (util::FaultInjector::Instance().ShouldFail("detector.pass")) {
-    run.shard_status[key_index][shard] = Status::Internal(
+    work.status = Status::Internal(
         "injected fault: window pass " + std::to_string(key_index + 1) +
         " of candidate '" + run.cand->name + "' failed");
     return;
   }
-  if (interruptible && (token.cancelled() || deadline.expired())) {
-    // Shed before enumerating: the shard contributes nothing, which the
-    // degradation accounting reads off pairs_windowed == 0.
-    run.shard_outcomes[key_index][shard].stopped_early = true;
+  if (gov.interruptible && (gov.token.cancelled() || gov.deadline.expired())) {
+    work.stopped_early = true;  // shed before enumerating
     return;
   }
   const ShardSlice& slice = run.shard_plan[shard];
@@ -362,71 +263,24 @@ void RunWindowPass(CandidateRun& run, size_t key_index, size_t shard,
                                  : std::string()));
   util::Stopwatch watch;
   const GkTable& table = *run.table;
-  const std::vector<size_t>& order = run.pass_orders[key_index];
-  std::vector<PassHit>& hits = run.pass_hits[key_index][shard];
-  // Every windowed pair lands in `hits` (adaptive extensions can add
-  // more); reserving the fixed-window count up front keeps the hot loop
-  // free of growth reallocations.
-  hits.reserve(WindowPairCountRange(order.size(), plan.window,
-                                    slice.owned_begin, slice.owned_end));
-  PassStats& stats = run.shard_stats[key_index][shard];
-  // Window distances for the explain log come from the inverse rank
-  // array, built only when explain is on — the classification hot path
-  // allocates nothing extra otherwise.
-  std::vector<uint32_t> inv_rank;
-  obs::ExplainLog* explain_log = nullptr;
+  PassStats& stats = work.stats;
+  obs::ExplainLog* explain_log =
+      work.explain.enabled() ? &work.explain : nullptr;
   obs::PairExplain trace;
   const std::vector<xml::ElementId>& eids = run.instances->eids;
-  if (!run.pass_explain.empty()) {
-    explain_log =
-        &run.pass_explain[key_index * run.shard_plan.size() + shard];
-    inv_rank.resize(order.size());
-    for (size_t i = 0; i < order.size(); ++i) {
-      inv_rank[order[i]] = static_cast<uint32_t>(i);
-    }
-  }
-  // Per-pass similarity distribution: one engine-wide histogram (handle
-  // resolved once, before the hot loop) plus the report row's decile
-  // buckets. Every pass scores its pairs independently, so the observed
-  // multiset is deterministic.
-  const bool track_sim = metrics.enabled();
   obs::Histogram* sim_hist = nullptr;
-  if (track_sim) {
+  if (metrics.enabled()) {
     sim_hist =
         &metrics.histogram("sw.similarity", obs::DefaultSimilarityBounds());
     stats.sim_buckets.assign(obs::DefaultSimilarityBounds().size() + 1, 0);
   }
-  // The whole pass runs on one worker thread, so the thread-local Myers
-  // word count brackets exactly this pass's kernel work.
+  // One worker thread runs the shard, so this brackets its kernel work.
   const uint64_t myers_before = text::ThreadMyersStats().words;
-
-  // Live progress: batched adds to the shared sw.pairs_done counter (one
-  // null test + local increment per pair; one shard write per batch) so
-  // the telemetry sampler can track completion against
-  // sw.pairs_planned_total mid-pass. Counted per visit, so the total
-  // equals sw.pairs_windowed.
+  // Live progress in batches; the total equals sw.pairs_windowed.
   obs::Counter* pairs_done =
       metrics.enabled() ? &metrics.counter("sw.pairs_done") : nullptr;
   uint32_t pairs_done_pending = 0;
   constexpr uint32_t kPairsDoneBatch = 1024;
-
-  // One pair classification: the similarity kernel plus its tallies.
-  auto classify = [&](OrdinalPair pair) -> bool {
-    SimilarityVerdict verdict =
-        run.measure->Decide(table.rows[pair.first], table.rows[pair.second],
-                            explain_log != nullptr ? &trace : nullptr);
-    ++stats.comparisons;
-    if (verdict.is_duplicate) ++stats.hits;
-    if (verdict.pruned) ++stats.ed_bailouts;
-    if (verdict.desc_evaluated) ++stats.desc_invocations;
-    if (verdict.desc_short_circuit) ++stats.desc_short_circuits;
-    stats.interned_equal += verdict.interned_equal;
-    if (track_sim) {
-      sim_hist->Observe(verdict.combined);
-      ++stats.sim_buckets[SimilarityBucket(verdict.combined)];
-    }
-    return verdict.is_duplicate;
-  };
 
   auto visit = [&](size_t a, size_t b) {
     if (pairs_done != nullptr && ++pairs_done_pending >= kPairsDoneBatch) {
@@ -439,107 +293,67 @@ void RunWindowPass(CandidateRun& run, size_t key_index, size_t shard,
       ++stats.prepass_skips;
       return;
     }
-    bool is_duplicate = classify(pair);
-    hits.push_back({PackPair(pair), is_duplicate});
+    if (!WindowedEarlier(run, key_index, a, b)) ++work.owned_comparisons;
+    SimilarityVerdict verdict =
+        run.measure->Decide(table.rows[pair.first], table.rows[pair.second],
+                            explain_log != nullptr ? &trace : nullptr);
+    ++stats.comparisons;
+    if (verdict.is_duplicate) {
+      ++stats.hits;
+      work.duplicates.push_back(pair);
+    }
+    if (verdict.pruned) ++stats.ed_bailouts;
+    if (verdict.desc_evaluated) ++stats.desc_invocations;
+    if (verdict.desc_short_circuit) ++stats.desc_short_circuits;
+    stats.interned_equal += verdict.interned_equal;
+    if (sim_hist != nullptr) {
+      sim_hist->Observe(verdict.combined);
+      ++stats.sim_buckets[SimilarityBucket(verdict.combined)];
+    }
     if (explain_log != nullptr) {
-      uint32_t ra = inv_rank[a];
-      uint32_t rb = inv_rank[b];
+      uint32_t ra = pass.rank[a];
+      uint32_t rb = pass.rank[b];
       explain_log->AppendPair(
           run.cand->name, static_cast<int>(key_index), pair.first,
           pair.second, static_cast<size_t>(eids[pair.first]),
           static_cast<size_t>(eids[pair.second]), ra > rb ? ra - rb : rb - ra,
-          obs::PairProvenance::kOwned, &trace, is_duplicate);
+          obs::PairProvenance::kOwned, &trace, verdict.is_duplicate);
     }
   };
-  // A shrunk boundary pass always runs the plain fixed window: adaptive
-  // extension would overrun the budget it was shrunk to fit. Only the
-  // shard's owned entering positions are enumerated; the backward scan
-  // reads context rows across the left edge freely (all rows are
-  // resident), so concatenating the shard streams in shard order
-  // reproduces the unsharded enumeration pair for pair.
-  WindowRunResult& outcome = run.shard_outcomes[key_index][shard];
-  // The window enumeration plus every pair classification it triggers.
-  obs::Tracer::Span classify_span = tracer.StartSpan("sw/classify");
-  if (run.cand->window_policy == WindowPolicy::kAdaptivePrefix &&
-      !plan.shrunk) {
+  // The backward scan reads context rows across the shard's left edge, so
+  // the shard streams in shard order are the unsharded enumeration.
+  auto enumerate = [&](auto&& stop) {
+    if (!plan.adaptive) {
+      return ForEachWindowPair(pass.order, plan.window, slice.owned_begin,
+                               slice.owned_end, stop, visit);
+    }
     auto key_of = [&](size_t ordinal) -> const std::string& {
       return table.rows[ordinal].keys[key_index];
     };
-    if (interruptible) {
-      outcome = ForEachAdaptiveWindowPairRangeInterruptible(
-          order, key_of, plan.window, run.cand->max_window,
-          run.cand->adaptive_prefix_len, slice.owned_begin, slice.owned_end,
-          token, deadline, visit);
-      stats.pairs_windowed = outcome.pairs_visited;
-    } else {
-      stats.pairs_windowed = ForEachAdaptiveWindowPairRange(
-          order, key_of, plan.window, run.cand->max_window,
-          run.cand->adaptive_prefix_len, slice.owned_begin, slice.owned_end,
-          visit);
-    }
-  } else if (interruptible) {
-    outcome = ForEachWindowPairRangeInterruptible(
-        order, plan.window, slice.owned_begin, slice.owned_end, token,
-        deadline, visit);
-    stats.pairs_windowed = outcome.pairs_visited;
-  } else {
-    stats.pairs_windowed = ForEachWindowPairRange(
-        order, plan.window, slice.owned_begin, slice.owned_end, visit);
-  }
+    return ForEachAdaptiveWindowPair(
+        pass.order, key_of, plan.window, plan.max_window, plan.prefix_len,
+        slice.owned_begin, slice.owned_end, stop, visit);
+  };
+  obs::Tracer::Span classify_span = tracer.StartSpan("sw/classify");
+  WindowRunResult outcome =
+      gov.interruptible ? enumerate(InterruptPoll(gov.token, gov.deadline))
+                        : enumerate(NeverStop{});
   classify_span.End();
+  work.stopped_early = outcome.stopped_early;
+  stats.pairs_windowed = outcome.pairs_visited;
   stats.myers_words = text::ThreadMyersStats().words - myers_before;
   stats.wall_seconds = watch.ElapsedSeconds();
-
-  // Publish from the worker thread itself: each add lands on the worker's
-  // own shard, exercising the wait-free hot path under the pool.
   if (metrics.enabled()) {
     pairs_done->Add(pairs_done_pending);
-    metrics.counter("sw.pairs_windowed").Add(stats.pairs_windowed);
-    metrics.counter("sw.prepass_skips").Add(stats.prepass_skips);
-    metrics.counter("sw.comparisons").Add(stats.comparisons);
-    metrics.counter("sw.hits").Add(stats.hits);
-    metrics.counter("sw.ed_bailouts").Add(stats.ed_bailouts);
-    metrics.counter("sw.desc_jaccard").Add(stats.desc_invocations);
-    metrics.counter("sw.desc_short_circuits").Add(stats.desc_short_circuits);
-    metrics.counter("sw.interned_equal").Add(stats.interned_equal);
-    metrics.counter("text.myers_words").Add(stats.myers_words);
-    metrics.histogram("sw.pass_seconds", obs::DefaultTimeBounds())
-        .Observe(stats.wall_seconds);
+    PublishShardMetrics(stats, metrics);
   }
   span.EndWithArgs("{\"pairs\": " + std::to_string(stats.pairs_windowed) +
                    ", \"comparisons\": " + std::to_string(stats.comparisons) +
                    ", \"hits\": " + std::to_string(stats.hits) + "}");
 }
 
-// Folds one shard's pass stats into the pass total. Counting fields sum
-// (every windowed pair belongs to exactly one shard); wall_seconds sums
-// too, so the report row reads as the pass's total worker time, and the
-// per-shard wall distribution stays visible in sw.pass_seconds.
-void AccumulateShardStats(PassStats& total, const PassStats& part) {
-  total.pairs_windowed += part.pairs_windowed;
-  total.prepass_skips += part.prepass_skips;
-  total.comparisons += part.comparisons;
-  total.hits += part.hits;
-  total.ed_bailouts += part.ed_bailouts;
-  total.desc_invocations += part.desc_invocations;
-  total.desc_short_circuits += part.desc_short_circuits;
-  total.interned_equal += part.interned_equal;
-  total.myers_words += part.myers_words;
-  total.wall_seconds += part.wall_seconds;
-  if (!part.sim_buckets.empty()) {
-    if (total.sim_buckets.empty()) {
-      total.sim_buckets.assign(part.sim_buckets.size(), 0);
-    }
-    for (size_t i = 0; i < part.sim_buckets.size(); ++i) {
-      total.sim_buckets[i] += part.sim_buckets[i];
-    }
-  }
-}
-
-// Explain-log emission for one candidate, from the serial merge point:
-// the candidate header, one instance record per GK row (keys + per-pass
-// sort ranks), and one pair record per prepass accept. The window
-// passes' pair records follow from MergePasses.
+// A candidate's explain header, instance records (keys + per-pass ranks)
+// and pre-pass pair records.
 void EmitCandidateExplain(const CandidateRun& run, int depth,
                           obs::ExplainLog& explain) {
   const GkTable& table = *run.table;
@@ -549,25 +363,15 @@ void EmitCandidateExplain(const CandidateRun& run, int depth,
                           run.cand->keys.size(), run.cand->window_size,
                           WindowPolicyName(run.cand->window_policy),
                           run.cand->classifier.od_threshold);
-
-  size_t num_keys = run.cand->keys.size();
-  std::vector<std::vector<size_t>> rank_of(num_keys);
-  for (size_t k = 0; k < num_keys; ++k) {
-    // The order stage computed every pass's order (skipped passes
-    // included — their enumeration was shed, not their relation), so the
-    // ranks here are the same permutations the passes enumerated.
-    const std::vector<size_t>& order = run.pass_orders[k];
-    rank_of[k].resize(order.size());
-    for (size_t i = 0; i < order.size(); ++i) rank_of[k][order[i]] = i;
-  }
-  std::vector<size_t> ranks(num_keys);
+  std::vector<size_t> ranks(run.passes.size());
   for (size_t ordinal = 0; ordinal < table.rows.size(); ++ordinal) {
-    for (size_t k = 0; k < num_keys; ++k) ranks[k] = rank_of[k][ordinal];
+    for (size_t k = 0; k < run.passes.size(); ++k) {
+      ranks[k] = run.passes[k].rank[ordinal];
+    }
     explain.AppendInstance(run.cand->name, ordinal,
                            static_cast<size_t>(eids[ordinal]),
                            table.rows[ordinal].keys, ranks);
   }
-
   for (const auto& [a, b] : run.prepass_accepted) {
     explain.AppendPair(run.cand->name, /*pass=*/-1, a, b,
                        static_cast<size_t>(eids[a]),
@@ -577,65 +381,593 @@ void EmitCandidateExplain(const CandidateRun& run, int depth,
   }
 }
 
-// Deterministic merge: replays the pass buffers in key order against a
-// flat hash set, so the accepted pairs, their order, and the comparison
-// count are those of the serial single-pass-at-a-time detector no matter
-// how the passes were interleaved across threads. With the explain log
-// on, the workers' `owned` pair records (one per pass hit: each pass ran
-// the kernel on it) follow the candidate's header in (pass, shard, visit)
-// order, so the record counts reconcile with sw.comparisons /
-// sw.prepass_pairs and the byte stream is identical for any num_threads
-// and shard count.
-void MergePasses(CandidateRun& run, CandidateResult& result, int depth,
+// Deterministic merge of one candidate's passes: the owned counts sum to
+// the distinct comparisons, and the pre-pass accepts plus the shards'
+// duplicates, sorted and de-duplicated, are the accepted pairs. Explain
+// records follow in (pass, shard, visit) order.
+void MergePasses(const CandidateRun& run, CandidateResult& result, int depth,
                  obs::MetricsRegistry& metrics, obs::ExplainLog& explain) {
-  if (explain.enabled()) {
-    EmitCandidateExplain(run, depth, explain);
-    for (const obs::ExplainLog& shard_log : run.pass_explain) {
-      explain.AppendLog(shard_log);
-    }
-    run.pass_explain.clear();
-  }
-
-  util::FlatU64Set seen = run.prepass_pairs;
+  result.name = run.cand->name;
+  result.num_instances = run.instances->NumInstances();
+  if (explain.enabled()) EmitCandidateExplain(run, depth, explain);
   std::vector<OrdinalPair> accepted = run.prepass_accepted;
-  size_t total_hits = 0;
-  for (const auto& shards : run.pass_hits) {
-    for (const auto& hits : shards) total_hits += hits.size();
-  }
-  seen.Reserve(seen.size() + total_hits);
-
-  // Reserve() above sized `seen` for every hit, so no rehash happens
-  // mid-merge and prefetched slots stay valid.
-  constexpr size_t kMergeLookahead = 16;
-  for (size_t k = 0; k < run.pass_hits.size(); ++k) {
-    // Shards in shard order concatenate to the pass's unsharded hit
-    // stream (the owner rule), so the replay below never knows whether
-    // the pass ran in one piece or many.
-    for (const std::vector<PassHit>& pass : run.pass_hits[k]) {
-      for (size_t idx = 0; idx < pass.size(); ++idx) {
-        if (idx + kMergeLookahead < pass.size()) {
-          seen.PrefetchKey(pass[idx + kMergeLookahead].packed);
-        }
-        const PassHit& hit = pass[idx];
-        if (!seen.Insert(hit.packed)) continue;
-        ++result.comparisons;
-        if (hit.is_duplicate) accepted.push_back(hit.pair());
-      }
+  for (const PassRun& pass : run.passes) {
+    for (const ShardWork& work : pass.shards) {
+      explain.AppendLog(work.explain);
+      result.comparisons += work.owned_comparisons;
+      accepted.insert(accepted.end(), work.duplicates.begin(),
+                      work.duplicates.end());
     }
   }
   std::sort(accepted.begin(), accepted.end());
+  accepted.erase(std::unique(accepted.begin(), accepted.end()),
+                 accepted.end());
   result.duplicate_pairs = std::move(accepted);
   for (const auto& [a, b] : result.duplicate_pairs) {
     result.duplicate_eid_pairs.emplace_back(run.instances->eids[a],
                                             run.instances->eids[b]);
   }
-
   if (metrics.enabled()) {
     metrics.counter("sw.prepass_pairs").Add(run.prepass_accepted.size());
     metrics.counter("sw.unique_comparisons").Add(result.comparisons);
     metrics.counter("sw.unique_duplicates")
         .Add(result.duplicate_pairs.size());
   }
+}
+
+obs::TelemetryOptions TelemetryOptionsOf(const ObservabilityConfig& cfg) {
+  obs::TelemetryOptions options;
+  options.path = cfg.telemetry_path;
+  options.interval_ms = cfg.telemetry_interval_ms;
+  return options;
+}
+
+// One Detector::Run as stages over the run's state: setup (constructor) →
+// Resume → GenerateKeys → RestoreLevels → per level (plan → order →
+// window → merge → closure → commit) → Finish.
+class DetectionRun {
+ public:
+  DetectionRun(const Config& config, const RunOptions& options,
+               obs::Tracer& tracer);
+
+  Status Resume(const xml::Document& doc);
+  Status GenerateKeys(const xml::Document& doc);
+  Status RestoreLevels();
+  Status DetectLevels();
+  Result<DetectionResult> Finish();
+
+ private:
+  void SetPhase(obs::RunPhase phase) {
+    if (!metrics_.enabled()) return;
+    metrics_.gauge("progress.phase")
+        .Set(static_cast<double>(static_cast<int>(phase)));
+  }
+
+  Status DetectLevel(uint64_t level, int depth,
+                     const std::vector<size_t>& members);
+  std::vector<CandidateRun> PlanLevel(const std::vector<size_t>& members);
+  Status OrderStage(std::vector<CandidateRun>& runs,
+                    const std::vector<PassTask>& passes);
+  Status WindowStage(std::vector<CandidateRun>& runs,
+                     const std::vector<PassTask>& passes);
+  void RecordPasses(const std::vector<CandidateRun>& runs);
+  Status ClosureStage(const std::vector<CandidateRun>& runs);
+  Status Commit(uint64_t levels_completed);
+
+  const Config& config_;
+  const ObservabilityConfig& obs_cfg_;
+  obs::Tracer& tracer_;
+  const size_t num_threads_;
+  Governor gov_;
+  DetectionResult result_;
+  obs::MetricsRegistry metrics_;  // disabled handles are no-ops
+  obs::ExplainLog explain_;
+  obs::Tracer::Span run_span_;
+  obs::TelemetrySampler telemetry_;  // read-only: never changes the output
+
+  const std::string ckpt_path_;
+  const bool ckpt_every_pass_;
+  CheckpointFingerprint ckpt_fingerprint_;
+  bool resumed_ = false;
+  EngineSnapshot resume_;
+
+  std::optional<CandidateForest> forest_;
+  std::vector<GkTable> gk_;
+  std::vector<char> kg_done_;  // 0 = key generation was shed
+  std::map<int, std::vector<size_t>, std::greater<int>> levels_;
+  uint64_t levels_restored_ = 0;
+  // Merged results; parent levels read the closed levels' `clusters`.
+  std::vector<CandidateResult> cand_results_;
+  uint64_t spill_bytes_peak_ = 0;
+  uint64_t merge_fanin_max_ = 0;
+};
+
+DetectionRun::DetectionRun(const Config& config, const RunOptions& options,
+                           obs::Tracer& tracer)
+    : config_(config),
+      obs_cfg_(config.observability()),
+      tracer_(tracer),
+      num_threads_(util::ResolveNumThreads(config.num_threads())),
+      gov_(config.limits(), options.cancellation),
+      metrics_(obs_cfg_.metrics),
+      explain_(!obs_cfg_.explain_path.empty()),
+      run_span_(tracer.StartSpan("detect")),
+      telemetry_(&metrics_, TelemetryOptionsOf(obs_cfg_)),
+      ckpt_path_(!options.checkpoint_path.empty() ? options.checkpoint_path
+                                                  : config.checkpoint().path),
+      ckpt_every_pass_(!options.checkpoint_path.empty()
+                           ? options.checkpoint_every_pass
+                           : config.checkpoint().every_pass) {
+  result_.degradation.comparison_budget = gov_.budget;
+  if (!metrics_.enabled()) return;
+  metrics_.gauge("engine.num_threads").Set(static_cast<double>(num_threads_));
+  // Registered up front, so every snapshot and telemetry tick has them.
+  metrics_.histogram("sw.similarity", obs::DefaultSimilarityBounds());
+  SetPhase(obs::RunPhase::kSetup);
+  metrics_.counter("kg.rows_done");
+  metrics_.counter("sw.pairs_done");
+  metrics_.counter("tc.edges_done");
+  metrics_.gauge("kg.rows_total");
+  metrics_.gauge("sw.pairs_planned_total");
+}
+
+// Loads the snapshot, if any, restores its observability state and starts
+// telemetry. A snapshot of another config or document is refused; a torn
+// or corrupt one is kDataLoss (recomputing would hide the data loss).
+Status DetectionRun::Resume(const xml::Document& doc) {
+  if (!ckpt_path_.empty()) {
+    // Its own span: the document hash walks the whole DOM.
+    obs::Tracer::Span fingerprint_span =
+        tracer_.StartSpan("checkpoint_fingerprint");
+    ckpt_fingerprint_.config_fingerprint = ConfigFingerprint(config_);
+    ckpt_fingerprint_.doc_fingerprint = DocumentFingerprint(doc);
+    fingerprint_span.End();
+    ckpt_fingerprint_.metrics_enabled = metrics_.enabled();
+    ckpt_fingerprint_.explain_enabled = explain_.enabled();
+    obs::Tracer::Span load_span = tracer_.StartSpan("checkpoint_load");
+    auto loaded = LoadEngineSnapshot(ckpt_path_, ckpt_fingerprint_);
+    if (loaded.ok()) {
+      resume_ = std::move(*loaded);
+      resumed_ = true;
+    } else if (loaded.status().code() != util::StatusCode::kNotFound) {
+      return loaded.status();
+    }
+  }
+  if (resumed_) {
+    // Metrics continue from the cut; engine.num_threads reports this run
+    // (resuming with another thread count is allowed).
+    if (metrics_.enabled()) {
+      metrics_.MergeFrom(resume_.metrics);
+      metrics_.gauge("engine.num_threads")
+          .Set(static_cast<double>(num_threads_));
+      metrics_.counter("persist.resume_loads").Add(1);
+      metrics_.counter("persist.resume_levels_restored")
+          .Add(resume_.cursor.levels_completed);
+    }
+    explain_.Restore(std::move(resume_.explain_text),
+                     resume_.explain_tallies[0], resume_.explain_tallies[1]);
+    result_.timer.Add(kPhaseKeyGeneration, resume_.cursor.kg_seconds);
+    result_.timer.Add(kPhaseSlidingWindow, resume_.cursor.sw_seconds);
+    result_.timer.Add(kPhaseTransitiveClosure, resume_.cursor.tc_seconds);
+    result_.degradation.passes = std::move(resume_.degradation.passes);
+    result_.report.rows = std::move(resume_.report_rows);
+  }
+  if (obs_cfg_.telemetry_path.empty()) return Status::Ok();
+  return telemetry_.Start();
+}
+
+// Key generation (KG): one read of the document builds the candidate
+// forest and the GK tables, concurrently per candidate; a resumed run
+// reads the tables back from the snapshot instead.
+Status DetectionRun::GenerateKeys(const xml::Document& doc) {
+  util::Stopwatch kg_watch;
+  obs::Tracer::Span kg_span = tracer_.StartSpan("key_generation");
+  SetPhase(obs::RunPhase::kKeyGeneration);
+  auto forest_or = CandidateForest::Build(config_, doc);
+  if (!forest_or.ok()) return forest_or.status();
+  forest_.emplace(std::move(forest_or).value());
+  const std::vector<CandidateInstances>& candidates = forest_->candidates();
+  if (metrics_.enabled()) {
+    // Pre-governance totals for the progress gauges (so the derived ETA is
+    // an upper bound).
+    size_t rows_total = 0;
+    size_t pairs_total = 0;
+    for (const CandidateInstances& ci : candidates) {
+      rows_total += ci.NumInstances();
+      pairs_total += ci.config->keys.size() *
+                     WindowPairCount(ci.NumInstances(), ci.config->window_size);
+    }
+    metrics_.gauge("kg.rows_total").Set(static_cast<double>(rows_total));
+    metrics_.gauge("sw.pairs_planned_total")
+        .Set(static_cast<double>(pairs_total));
+    metrics_.gauge("engine.num_candidates")
+        .Set(static_cast<double>(candidates.size()));
+  }
+
+  gk_.resize(candidates.size());
+  kg_done_.assign(candidates.size(), 0);
+  if (resumed_) {
+    // Every snapshot is taken at or after the post-KG durability point;
+    // the fingerprint proved config + document identity, and the loader
+    // checked the candidate indices.
+    if (resume_.gk.size() != candidates.size()) {
+      return Status::DataLoss(
+          "corrupt snapshot: GK table count does not match the candidate "
+          "forest");
+    }
+    for (EngineSnapshot::GkState& state : resume_.gk) {
+      gk_[state.index] = std::move(state.table);
+      kg_done_[state.index] = state.kg_done ? 1 : 0;
+    }
+  } else {
+    std::vector<Status> kg_status(candidates.size());
+    util::ParallelForCancellable(
+        candidates.size(), num_threads_, gov_.token, [&](size_t t) {
+          obs::Tracer::Span gen_span = tracer_.StartSpan("kg/generate");
+          auto keys = GenerateKeysChecked(*candidates[t].config, candidates[t],
+                                          gov_.token, &metrics_);
+          gen_span.End();
+          if (!keys.ok()) {
+            kg_status[t] = keys.status();
+          } else if (!keys->cancelled) {  // else: candidate shed
+            gk_[t] = std::move(keys->table);
+            kg_done_[t] = 1;
+          }
+        });
+    // A genuine failure aborts the run (degradation is for shed work);
+    // the lowest candidate index wins, deterministically.
+    for (const Status& status : kg_status) SXNM_RETURN_IF_ERROR(status);
+  }
+  gov_.Observe();
+  kg_span.End();
+  result_.timer.Add(kPhaseKeyGeneration, kg_watch.ElapsedSeconds());
+  return Status::Ok();
+}
+
+// Groups the candidates into levels by depth (the longest root distance,
+// so children sit strictly deeper than parents) and restores the snapshot's
+// completed ones, or commits the post-KG durability point.
+Status DetectionRun::RestoreLevels() {
+  for (size_t t : forest_->ProcessingOrder()) {
+    levels_[forest_->candidates()[t].depth].push_back(t);
+  }
+  cand_results_.resize(forest_->candidates().size());
+  if (!resumed_) {
+    return ckpt_path_.empty() || gov_.cut() ? Status::Ok() : Commit(0);
+  }
+  // The governor continues from the cut, so it sheds the same passes.
+  gov_.budget_spent = static_cast<size_t>(resume_.cursor.budget_spent);
+  gov_.budget_exhausted = resume_.cursor.budget_exhausted;
+  levels_restored_ = resume_.cursor.levels_completed;
+  if (levels_restored_ > levels_.size()) {
+    return Status::DataLoss(
+        "corrupt snapshot: cursor names more levels than the forest has");
+  }
+  for (EngineSnapshot::CompletedCandidate& completed : resume_.completed) {
+    cand_results_[completed.index] = std::move(completed.result);
+  }
+  return Status::Ok();
+}
+
+// Duplicate detection, level by level, deepest first, skipping the levels
+// the snapshot restored.
+Status DetectionRun::DetectLevels() {
+  uint64_t level = 0;
+  for (const auto& [depth, members] : levels_) {
+    if (level++ < levels_restored_) continue;
+    SXNM_RETURN_IF_ERROR(DetectLevel(level, depth, members));
+  }
+  return Status::Ok();
+}
+
+// One level; its passes and their shards are independent tasks.
+Status DetectionRun::DetectLevel(uint64_t level, int depth,
+                                 const std::vector<size_t>& members) {
+  obs::Tracer::Span level_span =
+      tracer_.StartSpan("level_" + std::to_string(depth));
+  SetPhase(obs::RunPhase::kSlidingWindow);
+  util::Stopwatch sw_watch;
+  std::vector<CandidateRun> runs = PlanLevel(members);
+  std::vector<PassTask> passes;  // (run, key)
+  for (size_t r = 0; r < runs.size(); ++r) {
+    for (size_t k = 0; k < runs[r].passes.size(); ++k) passes.push_back({r, k});
+  }
+  SXNM_RETURN_IF_ERROR(OrderStage(runs, passes));
+  SXNM_RETURN_IF_ERROR(WindowStage(runs, passes));
+  obs::Tracer::Span merge_span = tracer_.StartSpan("merge");
+  for (const CandidateRun& run : runs) {
+    MergePasses(run, cand_results_[run.index], depth, metrics_, explain_);
+  }
+  merge_span.End();
+  result_.timer.Add(kPhaseSlidingWindow, sw_watch.ElapsedSeconds());
+  RecordPasses(runs);
+  SXNM_RETURN_IF_ERROR(ClosureStage(runs));
+  // A level boundary is a consistent cut, committed unless the level was
+  // cut or is the last (a successful run deletes the checkpoint anyway).
+  bool commit = !ckpt_path_.empty() && ckpt_every_pass_ &&
+                level < levels_.size() && !gov_.cut();
+  return commit ? Commit(level) : Status::Ok();
+}
+
+// Plan stage, serial: similarity measures, the exact-OD pre-pass, the
+// shard plan and the governor's verdict for every pass.
+std::vector<CandidateRun> DetectionRun::PlanLevel(
+    const std::vector<size_t>& members) {
+  std::vector<CandidateRun> runs(members.size());
+  for (size_t r = 0; r < members.size(); ++r) {
+    CandidateRun& run = runs[r];
+    run.index = members[r];
+    run.instances = &forest_->candidates()[run.index];
+    run.cand = run.instances->config;
+    run.table = &gk_[run.index];
+    std::vector<const ClusterSet*> child_sets;
+    if (run.cand->use_descendants) {
+      for (size_t child : run.instances->child_types) {
+        child_sets.push_back(&cand_results_[child].clusters);
+      }
+    }
+    run.measure = std::make_unique<SimilarityMeasure>(
+        *run.cand, *run.instances, std::move(child_sets),
+        &run.table->od_pool);
+    run.kg_ok = kg_done_[run.index] != 0;
+    if (run.cand->exact_od_prepass && run.kg_ok) RunExactOdPrepass(run);
+    size_t n_inst = run.instances->NumInstances();
+    size_t reach = run.cand->window_policy == WindowPolicy::kAdaptivePrefix
+                       ? std::max(run.cand->max_window, run.cand->window_size)
+                       : run.cand->window_size;
+    run.shard_plan = ComputeShardPlan(n_inst, config_.shards(), reach);
+    // One pass per key even when key generation was shed (each owes a
+    // skipped degradation entry).
+    run.passes.resize(run.cand->keys.size());
+    for (PassRun& pass : run.passes) {
+      pass.plan = gov_.Plan(*run.cand, n_inst, run.kg_ok);
+      pass.shards.resize(run.shard_plan.size());
+      for (ShardWork& work : pass.shards) {
+        work.explain = obs::ExplainLog(explain_.enabled());
+      }
+    }
+  }
+  return runs;
+}
+
+// Order stage: every pass's order and ranks, in parallel. A memory budget
+// covers the whole process, so the sorters get 1/16 of it, split by pass
+// count (never thread count: extsort.* stays machine-independent).
+Status DetectionRun::OrderStage(std::vector<CandidateRun>& runs,
+                                const std::vector<PassTask>& passes) {
+  const uint64_t memory_budget = config_.memory_budget_bytes();
+  const uint64_t sorter_budget =
+      memory_budget == 0
+          ? 0
+          : std::max<uint64_t>(
+                memory_budget / (16 * std::max<size_t>(passes.size(), 1)),
+                1);
+  if (memory_budget > 0) SetPhase(obs::RunPhase::kExternalSort);
+  util::ParallelFor(passes.size(), num_threads_, [&](size_t i) {
+    auto [r, key_index] = passes[i];
+    PassRun& pass = runs[r].passes[key_index];
+    const GkTable& table = *runs[r].table;
+    if (!runs[r].kg_ok || (pass.plan.skip && !explain_.enabled())) return;
+    // Both paths yield one permutation; skipped passes sort resident.
+    if (sorter_budget == 0 || pass.plan.skip) {
+      obs::Tracer::Span sort_span = tracer_.StartSpan("sw/sort");
+      pass.order = table.SortedOrder(key_index);
+    } else {
+      extsort::ExtSortOptions options;
+      options.memory_budget_bytes = sorter_budget;
+      options.temp_dir = config_.spill_dir();
+      options.name = "sxnm." + runs[r].cand->name + ".pass" +
+                     std::to_string(key_index + 1);
+      options.metrics = metrics_.enabled() ? &metrics_ : nullptr;
+      auto order = ExternalSortedOrder(table, key_index, options, tracer_,
+                                       &pass.sort_stats);
+      if (!order.ok()) {
+        pass.order_status = order.status();
+        return;
+      }
+      pass.order = std::move(order).value();
+    }
+    pass.rank.resize(pass.order.size());
+    for (size_t pos = 0; pos < pass.order.size(); ++pos) {
+      pass.rank[pass.order[pos]] = static_cast<uint32_t>(pos);
+    }
+  });
+  for (const CandidateRun& run : runs) {
+    for (const PassRun& pass : run.passes) {
+      SXNM_RETURN_IF_ERROR(pass.order_status);
+      const extsort::ExtSortStats& sorted = pass.sort_stats;
+      spill_bytes_peak_ = std::max(spill_bytes_peak_, sorted.spill_bytes);
+      merge_fanin_max_ = std::max(merge_fanin_max_, sorted.runs);
+    }
+  }
+  if (metrics_.enabled() && memory_budget > 0) {
+    SetPhase(obs::RunPhase::kSlidingWindow);
+    metrics_.gauge("extsort.spill_bytes_peak")
+        .Set(static_cast<double>(spill_bytes_peak_));
+    metrics_.gauge("extsort.merge_fanin_max")
+        .Set(static_cast<double>(merge_fanin_max_));
+  }
+  return Status::Ok();
+}
+
+// Window stage (SW): every (pass, shard) task in parallel, then the shard
+// records reduce to per-pass stats.
+Status DetectionRun::WindowStage(std::vector<CandidateRun>& runs,
+                                 const std::vector<PassTask>& passes) {
+  const size_t shards = config_.shards();  // every shard plan's size
+  util::ParallelFor(passes.size() * shards, num_threads_, [&](size_t i) {
+    auto [r, key_index] = passes[i / shards];
+    RunWindowPass(runs[r], key_index, i % shards, gov_, metrics_, tracer_);
+  });
+  gov_.Observe();
+  size_t sharded_passes = 0;
+  size_t overlap_rows = 0;
+  for (CandidateRun& run : runs) {
+    for (PassRun& pass : run.passes) {
+      // Wall seconds sum too: a report row holds the pass's worker time.
+      for (const ShardWork& work : pass.shards) {
+        SXNM_RETURN_IF_ERROR(work.status);
+        pass.stats.Accumulate(work.stats);
+        pass.stopped_early |= work.stopped_early;
+      }
+      if (pass.plan.skip) continue;
+      ++sharded_passes;
+      overlap_rows += ShardOverlapRows(run.shard_plan);
+    }
+  }
+  // Run-shape telemetry, only when sharding is on: a shards=1 snapshot
+  // stays identical to the unsharded engine's.
+  if (metrics_.enabled() && shards > 1) {
+    metrics_.gauge("shard.count").Set(static_cast<double>(shards));
+    metrics_.counter("shard.tasks").Add(passes.size() * shards);
+    metrics_.counter("shard.passes").Add(sharded_passes);
+    metrics_.counter("shard.overlap_rows").Add(overlap_rows);
+  }
+  return Status::Ok();
+}
+
+// The level's report rows and degradation entries, in planning order; one
+// rule covers skipped, shrunk and cut passes.
+void DetectionRun::RecordPasses(const std::vector<CandidateRun>& runs) {
+  for (const CandidateRun& run : runs) {
+    for (size_t k = 0; k < run.passes.size(); ++k) {
+      const PassRun& pass = run.passes[k];
+      const PassPlan& plan = pass.plan;
+      if (metrics_.enabled()) {
+        result_.report.rows.push_back(
+            {run.cand->name, k, run.instances->NumInstances(), pass.stats});
+      }
+      if (!plan.skip && !plan.shrunk && !pass.stopped_early) continue;
+      size_t executed = plan.skip ? 0 : pass.stats.pairs_windowed;
+      PassDegradation entry;
+      entry.candidate = run.cand->name;
+      entry.key_index = k;
+      entry.skipped = plan.skip;
+      entry.window_used = plan.window;
+      entry.rows = run.instances->NumInstances();
+      entry.pairs_planned = plan.planned;
+      entry.pairs_elided =
+          plan.planned > executed ? plan.planned - executed : 0;
+      explain_.AppendShed(run.cand->name, static_cast<int>(k), plan.skip,
+                          run.cand->window_size, plan.window, entry.rows,
+                          entry.pairs_planned, entry.pairs_elided);
+      result_.degradation.passes.push_back(std::move(entry));
+    }
+  }
+}
+
+// Transitive closure (TC), serially, with the explain lineage and clusters.
+Status DetectionRun::ClosureStage(const std::vector<CandidateRun>& runs) {
+  SetPhase(obs::RunPhase::kTransitiveClosure);
+  for (const CandidateRun& run : runs) {
+    if (util::FaultInjector::Instance().ShouldFail("tc.closure")) {
+      return Status::Internal(
+          "injected fault: transitive closure failed for candidate '" +
+          run.cand->name + "'");
+    }
+    util::Stopwatch tc_watch;
+    obs::Tracer::Span tc_span = tracer_.StartSpan("tc/" + run.cand->name);
+    CandidateResult& cand_result = cand_results_[run.index];
+    std::vector<MergeStep> lineage;
+    cand_result.clusters = ComputeTransitiveClosure(
+        run.instances->NumInstances(), cand_result.duplicate_pairs, &metrics_,
+        explain_.enabled() ? &lineage : nullptr);
+    for (const MergeStep& step : lineage) {
+      explain_.AppendMerge(run.cand->name, step.pair.first, step.pair.second,
+                           step.root_a, step.root_b, step.root, step.merged);
+    }
+    if (explain_.enabled()) {
+      const ClusterSet& clusters = cand_result.clusters;
+      for (const std::vector<size_t>& members :
+           clusters.NonTrivialClusters()) {
+        explain_.AppendCluster(run.cand->name,
+                               static_cast<size_t>(clusters.cid(members[0])),
+                               members);
+      }
+    }
+    tc_span.End();
+    result_.timer.Add(kPhaseTransitiveClosure, tc_watch.ElapsedSeconds());
+  }
+  return Status::Ok();
+}
+
+// Commits one durable snapshot of everything accumulated so far.
+Status DetectionRun::Commit(uint64_t levels_completed) {
+  obs::Tracer::Span ckpt_span = tracer_.StartSpan("checkpoint_write");
+  EngineSnapshotView view;
+  view.fingerprint = ckpt_fingerprint_;
+  view.cursor.levels_completed = levels_completed;
+  view.cursor.budget_spent = gov_.budget_spent;
+  view.cursor.budget_exhausted = gov_.budget_exhausted;
+  view.cursor.kg_seconds = result_.KeyGenerationSeconds();
+  view.cursor.sw_seconds = result_.SlidingWindowSeconds();
+  view.cursor.tc_seconds = result_.TransitiveClosureSeconds();
+  view.gk = &gk_;
+  view.kg_done = &kg_done_;
+  uint64_t level = 0;
+  for (const auto& [depth, members] : levels_) {
+    if (level++ >= levels_completed) break;
+    for (size_t t : members) view.completed.emplace_back(t, &cand_results_[t]);
+  }
+  view.degradation = &result_.degradation;
+  return CommitEngineSnapshot(view, ckpt_path_, result_.report.rows, metrics_,
+                              explain_);
+}
+
+// Assembles the result bottom-up, summarizes the degradation and exports
+// the observability artifacts.
+Result<DetectionResult> DetectionRun::Finish() {
+  for (size_t t : forest_->ProcessingOrder()) {
+    cand_results_[t].gk = std::move(gk_[t]);
+    result_.candidates.push_back(std::move(cand_results_[t]));
+  }
+  gov_.Observe();
+  DegradationReport& degradation = result_.degradation;
+  if (!degradation.passes.empty()) {
+    degradation.degraded = true;
+    degradation.reason = gov_.cancelled ? util::StatusCode::kCancelled
+                         : gov_.wallclock_mode && gov_.wall_expired
+                             ? util::StatusCode::kDeadlineExceeded
+                             : gov_.budget_reason;
+  }
+  if (metrics_.enabled()) {
+    metrics_.counter("robust.degraded").Add(degradation.degraded ? 1 : 0);
+    metrics_.counter("robust.passes_skipped")
+        .Add(degradation.PassesSkipped());
+    metrics_.counter("robust.passes_shrunk").Add(degradation.PassesShrunk());
+    metrics_.counter("robust.rows_skipped").Add(degradation.RowsSkipped());
+    metrics_.counter("robust.pairs_elided").Add(degradation.PairsElided());
+    result_.report.degradation = degradation;
+  }
+
+  run_span_.End();
+  if (!obs_cfg_.profile_path.empty()) {
+    // Folded after every span charged its CPU; the returned profile also
+    // covers the file commit.
+    SXNM_RETURN_IF_ERROR(
+        tracer_.CpuProfile().WriteFoldedFile(obs_cfg_.profile_path));
+    result_.profile = tracer_.CpuProfile();
+    if (metrics_.enabled()) result_.report.profile = result_.profile;
+  }
+  SetPhase(obs::RunPhase::kDone);
+  // Stopped first, so its final sample equals result.metrics.
+  SXNM_RETURN_IF_ERROR(telemetry_.Stop());
+  if (tracer_.enabled()) {
+    SXNM_RETURN_IF_ERROR(tracer_.WriteChromeTraceFile(obs_cfg_.trace_path));
+  }
+  if (metrics_.enabled()) {
+    result_.metrics = metrics_.Snapshot();
+    if (!obs_cfg_.report_path.empty()) {
+      SXNM_RETURN_IF_ERROR(result_.report.WriteJsonFile(obs_cfg_.report_path));
+    }
+  }
+  if (explain_.enabled()) {
+    SXNM_RETURN_IF_ERROR(explain_.WriteFile(obs_cfg_.explain_path));
+  }
+  // A deterministically complete run (budget-shed ones included) has
+  // nothing left to resume; a cut run keeps its snapshot for a later run.
+  if (!ckpt_path_.empty() && !gov_.cut()) persist::RemoveFile(ckpt_path_);
+  return std::move(result_);
 }
 
 }  // namespace
@@ -646,695 +978,17 @@ util::Result<DetectionResult> Detector::Run(const xml::Document& doc) const {
 
 util::Result<DetectionResult> Detector::Run(const xml::Document& doc,
                                             const RunOptions& options) const {
-  // Observability: the tracer comes first so that a CPU profile covers
-  // the whole run. Profiled spans read their thread's CPU clock at start
-  // and end; the tracer never writes engine state, so output is
-  // bit-identical with profiling on or off.
+  // The tracer comes first, so a CPU profile covers the whole run.
   const ObservabilityConfig& obs_cfg = config_.observability();
-  const bool profiling = !obs_cfg.profile_path.empty();
-  obs::Tracer tracer(!obs_cfg.trace_path.empty(), profiling);
+  obs::Tracer tracer(!obs_cfg.trace_path.empty(),
+                     !obs_cfg.profile_path.empty());
   SXNM_RETURN_IF_ERROR(config_.Validate());
-
-  DetectionResult result;
-  size_t num_threads = util::ResolveNumThreads(config_.num_threads());
-
-  // --- Resource governance setup ------------------------------------------
-  // A deadline with a positive conversion rate becomes a comparison
-  // budget here, ONCE — after this point the governor never reads the
-  // clock, so the shed work set is a pure function of config + data
-  // (identical for any thread count). Rate 0 keeps a live wall-clock
-  // deadline instead, polled cooperatively.
-  const RunLimits& limits = config_.limits();
-  const util::CancellationToken& token = options.cancellation;
-  const size_t budget = limits.ResolveComparisonBudget();
-  const bool wallclock_mode =
-      limits.deadline_seconds > 0.0 && limits.comparisons_per_second == 0.0;
-  util::Deadline deadline = wallclock_mode
-                                ? util::Deadline::After(limits.deadline_seconds)
-                                : util::Deadline::Infinite();
-  // Which governance source binds first, for the degradation reason.
-  util::StatusCode budget_reason = util::StatusCode::kResourceExhausted;
-  if (limits.deadline_seconds > 0.0 &&
-      (limits.max_comparisons == 0 || budget < limits.max_comparisons)) {
-    budget_reason = util::StatusCode::kDeadlineExceeded;
-  }
-  const bool interruptible =
-      token.can_be_cancelled() || deadline.has_deadline();
-  DegradationReport& degradation = result.degradation;
-  degradation.comparison_budget = budget;
-  bool cancelled = false;      // cancellation observed at a checkpoint
-  bool wall_expired = false;   // cooperative deadline observed expired
-
-  // The remaining observability handles live for exactly this run.
-  // Disabled instances are no-ops (every record is one branch), so the
-  // default configuration pays nothing.
-  obs::MetricsRegistry metrics(obs_cfg.metrics);
-  obs::ExplainLog explain(!obs_cfg.explain_path.empty());
-  obs::Tracer::Span run_span = tracer.StartSpan("detect");
-  auto set_phase = [&metrics](obs::RunPhase phase) {
-    metrics.gauge("progress.phase")
-        .Set(static_cast<double>(static_cast<int>(phase)));
-  };
-  if (metrics.enabled()) {
-    metrics.gauge("engine.num_threads")
-        .Set(static_cast<double>(num_threads));
-    // Registered up front so the histogram appears in every snapshot,
-    // comparisons or not.
-    metrics.histogram("sw.similarity", obs::DefaultSimilarityBounds());
-    // Progress metrics likewise registered before any sample can be
-    // taken: every telemetry tick carries the full progress family.
-    set_phase(obs::RunPhase::kSetup);
-    metrics.counter("kg.rows_done");
-    metrics.counter("sw.pairs_done");
-    metrics.counter("tc.edges_done");
-    metrics.gauge("kg.rows_total");
-    metrics.gauge("sw.pairs_planned_total");
-  }
-
-  // --- Checkpoint/resume setup ---------------------------------------------
-  // Fingerprints are computed before any work: the load must refuse a
-  // snapshot of a different config or document before the engine trusts
-  // its contents. kNotFound simply means "no snapshot yet" (fresh run);
-  // a torn or corrupt file is a hard kDataLoss — silently recomputing
-  // would hide the data loss the checkpoint was supposed to prevent.
-  const std::string& ckpt_path = !options.checkpoint_path.empty()
-                                     ? options.checkpoint_path
-                                     : config_.checkpoint().path;
-  const bool ckpt_every_pass = !options.checkpoint_path.empty()
-                                   ? options.checkpoint_every_pass
-                                   : config_.checkpoint().every_pass;
-  const bool checkpointing = !ckpt_path.empty();
-  CheckpointFingerprint ckpt_fingerprint;
-  EngineSnapshot resume;
-  bool resumed = false;
-  if (checkpointing) {
-    // Its own span: the document hash walks the whole DOM.
-    obs::Tracer::Span fingerprint_span =
-        tracer.StartSpan("checkpoint_fingerprint");
-    ckpt_fingerprint.config_fingerprint = ConfigFingerprint(config_);
-    ckpt_fingerprint.doc_fingerprint = DocumentFingerprint(doc);
-    fingerprint_span.End();
-    ckpt_fingerprint.metrics_enabled = metrics.enabled();
-    ckpt_fingerprint.explain_enabled = explain.enabled();
-    obs::Tracer::Span load_span = tracer.StartSpan("checkpoint_load");
-    auto loaded = LoadEngineSnapshot(ckpt_path, ckpt_fingerprint);
-    if (loaded.ok()) {
-      resume = std::move(*loaded);
-      resumed = true;
-    } else if (loaded.status().code() != util::StatusCode::kNotFound) {
-      return loaded.status();
-    }
-  }
-  if (resumed) {
-    // Counters, gauges, and histogram buckets continue from the cut, so
-    // the final snapshot equals an uninterrupted run's. engine.num_threads
-    // is re-published afterwards: resuming with a different thread count
-    // is allowed and the gauge reports *this* run.
-    if (metrics.enabled()) {
-      metrics.MergeFrom(resume.metrics);
-      metrics.gauge("engine.num_threads")
-          .Set(static_cast<double>(num_threads));
-      metrics.counter("persist.resume_loads").Add(1);
-      metrics.counter("persist.resume_levels_restored")
-          .Add(resume.cursor.levels_completed);
-    }
-    explain.Restore(std::move(resume.explain_text), resume.explain_tallies[0],
-                    resume.explain_tallies[1]);
-    result.timer.Add(kPhaseKeyGeneration, resume.cursor.kg_seconds);
-    result.timer.Add(kPhaseSlidingWindow, resume.cursor.sw_seconds);
-    result.timer.Add(kPhaseTransitiveClosure, resume.cursor.tc_seconds);
-    degradation.passes = std::move(resume.degradation.passes);
-    result.report.rows = std::move(resume.report_rows);
-  }
-
-  // Live telemetry: a read-only background sampler over the registry.
-  // It never writes a metric and the engine never waits on it, so the
-  // detection output is bit-identical with telemetry on or off; the
-  // sampler's destructor covers early-return paths (the stream is then
-  // simply missing its final sample).
-  obs::TelemetryOptions telemetry_options;
-  telemetry_options.path = obs_cfg.telemetry_path;
-  telemetry_options.interval_ms = obs_cfg.telemetry_interval_ms;
-  obs::TelemetrySampler telemetry(&metrics, telemetry_options);
-  if (!obs_cfg.telemetry_path.empty()) {
-    SXNM_RETURN_IF_ERROR(telemetry.Start());
-  }
-
-  // --- Key generation phase (KG) -----------------------------------------
-  // Candidate discovery and GK construction happen together: both read the
-  // document once, mirroring the paper's single-pass key generation. The
-  // per-candidate GK tables are independent, so they build concurrently.
-  util::Stopwatch kg_watch;
-  obs::Tracer::Span kg_span = tracer.StartSpan("key_generation");
-  if (metrics.enabled()) set_phase(obs::RunPhase::kKeyGeneration);
-  auto forest_or = CandidateForest::Build(config_, doc);
-  if (!forest_or.ok()) return forest_or.status();
-  const CandidateForest& forest = forest_or.value();
-
-  if (metrics.enabled()) {
-    // Planned totals for the progress gauges, published before the work
-    // starts so completion fractions are meaningful from the first
-    // sample. The pair total is pre-governance: budget shedding can
-    // finish "early" relative to it, which makes the derived ETA an
-    // upper-bound estimate.
-    size_t rows_total = 0;
-    size_t pairs_total = 0;
-    for (const CandidateInstances& ci : forest.candidates()) {
-      rows_total += ci.NumInstances();
-      pairs_total += ci.config->keys.size() *
-                     WindowPairCount(ci.NumInstances(), ci.config->window_size);
-    }
-    metrics.gauge("kg.rows_total").Set(static_cast<double>(rows_total));
-    metrics.gauge("sw.pairs_planned_total")
-        .Set(static_cast<double>(pairs_total));
-  }
-
-  std::vector<GkTable> gk(forest.candidates().size());
-  std::vector<char> kg_done(forest.candidates().size(), 0);
-  if (resumed) {
-    // Every snapshot is taken at or after the post-KG durability point,
-    // so the GK relations come back from disk instead of the document.
-    // The fingerprint already proved config + document identity; the
-    // size check below is pure defense against a hand-edited file.
-    if (resume.gk.size() != forest.candidates().size()) {
-      return Status::DataLoss(
-          "corrupt snapshot: GK table count does not match the candidate "
-          "forest");
-    }
-    for (EngineSnapshot::GkState& state : resume.gk) {
-      if (state.index >= gk.size() || kg_done[state.index] != 0) {
-        return Status::DataLoss(
-            "corrupt snapshot: GK frame candidate index invalid or "
-            "duplicated");
-      }
-      gk[state.index] = std::move(state.table);
-      kg_done[state.index] = state.kg_done ? 1 : 0;
-    }
-  } else {
-    std::vector<util::Status> kg_status(forest.candidates().size());
-    util::ParallelForCancellable(
-        forest.candidates().size(), num_threads, token, [&](size_t t) {
-          const CandidateInstances& instances = forest.candidates()[t];
-          obs::Tracer::Span gen_span = tracer.StartSpan("kg/generate");
-          auto keys = GenerateKeysChecked(*instances.config, instances, token,
-                                          &metrics);
-          gen_span.End();
-          if (!keys.ok()) {
-            kg_status[t] = keys.status();
-            return;
-          }
-          if (keys->cancelled) return;  // kg_done stays 0: candidate shed
-          gk[t] = std::move(keys->table);
-          kg_done[t] = 1;
-        });
-    // A genuine key-generation failure (fault injection, future IO) aborts
-    // the run with its own status — degradation is only for shed work. The
-    // lowest candidate index wins so the reported error is deterministic.
-    for (const util::Status& status : kg_status) SXNM_RETURN_IF_ERROR(status);
-  }
-  if (token.cancelled()) cancelled = true;
-  if (deadline.expired()) wall_expired = true;
-  kg_span.End();
-  result.timer.Add(kPhaseKeyGeneration, kg_watch.ElapsedSeconds());
-  if (metrics.enabled()) {
-    metrics.gauge("engine.num_candidates")
-        .Set(static_cast<double>(forest.candidates().size()));
-  }
-
-  // --- Duplicate detection phase (per candidate, bottom-up) ---------------
-  // Candidates are processed level by level: depths are longest root
-  // distances, so every child type sits at a strictly greater depth than
-  // its parents and all cluster sets a level needs are complete before it
-  // starts. Within a level, every (candidate, key) window pass is an
-  // independent task; a level-wide parallel-for covers both pass-level and
-  // candidate-level parallelism without nesting.
-  std::map<int, std::vector<size_t>, std::greater<int>> levels;
-  for (size_t t : forest.ProcessingOrder()) {
-    levels[forest.candidates()[t].depth].push_back(t);
-  }
-
-  std::vector<ClusterSet> cluster_sets(forest.candidates().size());
-  std::vector<CandidateResult> cand_results(forest.candidates().size());
-
-  // Budget governor state, threaded across levels. Passes are planned
-  // serially in deterministic order (levels deepest-first, candidates in
-  // processing order, keys in definition order): each runs in full while
-  // the cumulative planned cost fits the budget, the first that does not
-  // fit shrinks its window to the largest size that still does (the
-  // paper's own efficiency knob), and everything after is skipped.
-  size_t budget_spent = 0;
-  bool budget_exhausted = false;
-
-  // Out-of-core knobs, fixed for the run. The budget is split evenly
-  // across the level's pass tasks (not its threads — the split, and so
-  // every extsort.* counter, must not depend on the thread count), with
-  // half held back for the merge readers and the decode scratch.
-  const size_t num_shards = config_.shards();
-  const uint64_t memory_budget = config_.memory_budget_bytes();
-  ExtSortHighWater extsort_high_water;
-
-  uint64_t levels_restored = 0;
-  if (resumed) {
-    // Governor state continues from the cut so the resumed planner sheds
-    // exactly the passes an uninterrupted run would.
-    budget_spent = static_cast<size_t>(resume.cursor.budget_spent);
-    budget_exhausted = resume.cursor.budget_exhausted;
-    levels_restored = resume.cursor.levels_completed;
-    if (levels_restored > levels.size()) {
-      return Status::DataLoss(
-          "corrupt snapshot: cursor names more levels than the forest has");
-    }
-    for (EngineSnapshot::CompletedCandidate& completed : resume.completed) {
-      size_t t = static_cast<size_t>(completed.index);
-      if (t >= cand_results.size() || !cand_results[t].name.empty()) {
-        return Status::DataLoss(
-            "corrupt snapshot: completed-candidate index invalid or "
-            "duplicated");
-      }
-      cluster_sets[t] = completed.result.clusters;
-      cand_results[t] = std::move(completed.result);
-    }
-  }
-
-  // Commits one durable snapshot of everything accumulated so far. The
-  // view borrows the engine's live state; Save serializes and atomically
-  // replaces the file, so a crash mid-write leaves the previous snapshot.
-  auto write_checkpoint = [&](uint64_t levels_completed) -> util::Status {
-    obs::Tracer::Span ckpt_span = tracer.StartSpan("checkpoint_write");
-    EngineSnapshotView view;
-    view.fingerprint = ckpt_fingerprint;
-    view.cursor.levels_completed = levels_completed;
-    view.cursor.budget_spent = budget_spent;
-    view.cursor.budget_exhausted = budget_exhausted;
-    view.cursor.kg_seconds = result.KeyGenerationSeconds();
-    view.cursor.sw_seconds = result.SlidingWindowSeconds();
-    view.cursor.tc_seconds = result.TransitiveClosureSeconds();
-    view.gk = &gk;
-    view.kg_done = &kg_done;
-    uint64_t ordinal = 0;
-    for (const auto& [level_depth, level_members] : levels) {
-      if (ordinal++ >= levels_completed) break;
-      for (size_t t : level_members) {
-        view.completed.emplace_back(t, &cand_results[t]);
-      }
-    }
-    view.degradation = &degradation;
-    obs::MetricsSnapshot metrics_snapshot;
-    if (metrics.enabled()) {
-      view.report_rows = &result.report.rows;
-      metrics_snapshot = metrics.Snapshot();
-      view.metrics = &metrics_snapshot;
-    }
-    if (explain.enabled()) {
-      view.explain_text = &explain.text();
-      view.explain_tallies[0] = explain.owned_pairs();
-      view.explain_tallies[1] = explain.prepass_pairs();
-    }
-    SnapshotWriteStats stats;
-    SXNM_RETURN_IF_ERROR(SaveEngineSnapshot(view, ckpt_path, &stats));
-    if (metrics.enabled()) {
-      // Counted after the commit (and so absent from the frame just
-      // written): persist.* counters describe *this* run's IO, differ
-      // between resumed and uninterrupted runs by design, and are
-      // excluded from determinism digests like the wall-time counters.
-      metrics.counter("persist.snapshot_writes").Add(1);
-      metrics.counter("persist.snapshot_bytes_total").Add(stats.bytes);
-    }
-    return util::Status::Ok();
-  };
-
-  // The post-KG durability point: even with every_pass off, a resumed
-  // run never repeats key generation. Levels "completed" after a
-  // cancellation or wall-clock cut are not checkpointed — their passes
-  // were shed nondeterministically, and a resume must re-run them.
-  if (checkpointing && !resumed && !cancelled && !wall_expired) {
-    SXNM_RETURN_IF_ERROR(write_checkpoint(0));
-  }
-
-  uint64_t level_ordinal = 0;
-  for (auto& [depth, members] : levels) {
-    // Fast-forward through levels the snapshot already holds: their
-    // merged results, cluster sets, report rows, shed entries, counters,
-    // and explain records were all restored above.
-    if (level_ordinal++ < levels_restored) continue;
-    obs::Tracer::Span level_span =
-        tracer.StartSpan("level_" + std::to_string(depth));
-    if (metrics.enabled()) set_phase(obs::RunPhase::kSlidingWindow);
-    // Serial setup: similarity measures (which snapshot the child cluster
-    // sets into sorted cid lists) and the exact-OD pre-pass.
-    util::Stopwatch sw_watch;
-    std::vector<CandidateRun> runs(members.size());
-    std::vector<std::pair<size_t, size_t>> pass_tasks;  // (run, key_index)
-    for (size_t r = 0; r < members.size(); ++r) {
-      CandidateRun& run = runs[r];
-      run.index = members[r];
-      run.instances = &forest.candidates()[run.index];
-      run.cand = run.instances->config;
-      run.table = &gk[run.index];
-
-      std::vector<const ClusterSet*> child_sets;
-      if (run.cand->use_descendants && !run.instances->child_types.empty()) {
-        child_sets.reserve(run.instances->child_types.size());
-        for (size_t child : run.instances->child_types) {
-          child_sets.push_back(&cluster_sets[child]);
-        }
-      }
-      run.measure = std::make_unique<SimilarityMeasure>(
-          *run.cand, *run.instances, std::move(child_sets),
-          &run.table->od_pool);
-      run.kg_ok = kg_done[run.index] != 0;
-
-      if (run.cand->exact_od_prepass && run.kg_ok) RunExactOdPrepass(run);
-
-      // Sized from the config, not the GK table: a candidate whose key
-      // generation was shed has an empty table but still owes one
-      // (skipped) degradation entry per configured pass.
-      size_t num_keys = run.cand->keys.size();
-      size_t n_inst = run.instances->NumInstances();
-      // The shard plan partitions entering positions by the candidate's
-      // maximum reach (adaptive passes can extend any window up to
-      // max_window); context_begin is accounting only — rows are
-      // resident, so a shard reads across its left edge freely.
-      size_t reach =
-          run.cand->window_policy == WindowPolicy::kAdaptivePrefix
-              ? std::max(run.cand->max_window, run.cand->window_size)
-              : run.cand->window_size;
-      run.shard_plan = ComputeShardPlan(n_inst, num_shards, reach);
-      run.pass_orders.resize(num_keys);
-      run.pass_hits.assign(num_keys,
-                           std::vector<std::vector<PassHit>>(num_shards));
-      if (explain.enabled()) {
-        for (size_t i = 0; i < num_keys * num_shards; ++i) {
-          run.pass_explain.emplace_back(true);
-        }
-      }
-      run.shard_stats.assign(num_keys, std::vector<PassStats>(num_shards));
-      run.pass_stats.resize(num_keys);
-      run.plans.resize(num_keys);
-      run.shard_outcomes.assign(num_keys,
-                                std::vector<WindowRunResult>(num_shards));
-      run.outcomes.resize(num_keys);
-      run.pass_status.resize(num_keys);
-      run.shard_status.assign(num_keys,
-                              std::vector<util::Status>(num_shards));
-      for (size_t k = 0; k < num_keys; ++k) {
-        PassPlan& plan = run.plans[k];
-        plan.planned = WindowPairCount(n_inst, run.cand->window_size);
-        if (token.cancelled()) cancelled = true;
-        if (!run.kg_ok || cancelled || wall_expired) {
-          plan.skip = true;
-        } else if (budget == 0) {
-          plan.window = run.cand->window_size;
-        } else if (budget_exhausted) {
-          plan.skip = true;
-        } else if (budget_spent + plan.planned <= budget) {
-          plan.window = run.cand->window_size;
-          budget_spent += plan.planned;
-        } else {
-          // The boundary pass: shrink to the largest window whose full
-          // pass still fits what is left, then close the budget.
-          budget_exhausted = true;
-          size_t shrunk = LargestWindowWithin(n_inst, run.cand->window_size,
-                                              budget - budget_spent);
-          if (shrunk >= 2) {
-            plan.window = shrunk;
-            plan.shrunk = true;
-            budget_spent += WindowPairCount(n_inst, shrunk);
-          } else {
-            plan.skip = true;
-          }
-        }
-        pass_tasks.emplace_back(r, k);
-      }
-    }
-
-    // Order stage: every pass's sorted order, in parallel. With a memory
-    // budget this is where rows spill and merge back; either way the
-    // orders are fixed before any shard enumerates, so all shards of a
-    // pass read one shared permutation.
-    //
-    // The budget is the envelope for the whole process — the resident
-    // document, GK tables, and cluster state take most of it — so the
-    // spill buffers get a 1/16 slice, split across the level's
-    // concurrent sorters. Dividing by pass count (never thread count)
-    // keeps the extsort.* counters machine-independent.
-    const uint64_t sorter_budget =
-        memory_budget == 0
-            ? 0
-            : std::max<uint64_t>(
-                  memory_budget /
-                      (16 * std::max<size_t>(pass_tasks.size(), 1)),
-                  1);
-    if (metrics.enabled() && memory_budget > 0) {
-      set_phase(obs::RunPhase::kExternalSort);
-    }
-    util::ParallelFor(pass_tasks.size(), num_threads, [&](size_t i) {
-      auto [r, key_index] = pass_tasks[i];
-      ComputePassOrder(runs[r], key_index, explain.enabled(), sorter_budget,
-                       config_.spill_dir(), metrics, tracer,
-                       extsort_high_water);
-    });
-    for (const CandidateRun& run : runs) {
-      for (const util::Status& status : run.pass_status) {
-        SXNM_RETURN_IF_ERROR(status);
-      }
-    }
-    if (metrics.enabled() && memory_budget > 0) {
-      set_phase(obs::RunPhase::kSlidingWindow);
-      metrics.gauge("extsort.spill_bytes_peak")
-          .Set(static_cast<double>(
-              extsort_high_water.spill_bytes_peak.load()));
-      metrics.gauge("extsort.merge_fanin_max")
-          .Set(static_cast<double>(
-              extsort_high_water.merge_fanin_max.load()));
-    }
-
-    // Multi-pass sorted window (SW): every (pass, shard) of the level in
-    // parallel. Each task owns a disjoint range of entering positions,
-    // writes only its own buffers, and shares the pass order read-only.
-    std::vector<std::array<size_t, 3>> shard_tasks;  // (run, key, shard)
-    shard_tasks.reserve(pass_tasks.size() * num_shards);
-    for (auto [r, key_index] : pass_tasks) {
-      for (size_t s = 0; s < num_shards; ++s) {
-        shard_tasks.push_back({r, key_index, s});
-      }
-    }
-    util::ParallelFor(shard_tasks.size(), num_threads, [&](size_t i) {
-      auto [r, key_index, s] = shard_tasks[i];
-      RunWindowPass(runs[r], key_index, s, token, deadline, interruptible,
-                    metrics, tracer);
-    });
-    for (const CandidateRun& run : runs) {
-      for (const auto& per_key : run.shard_status) {
-        for (const util::Status& status : per_key) {
-          SXNM_RETURN_IF_ERROR(status);
-        }
-      }
-    }
-    if (token.cancelled()) cancelled = true;
-    if (deadline.expired()) wall_expired = true;
-
-    // Reduce the per-shard stats and outcomes to the per-pass values the
-    // merge, report rows, and degradation accounting read. Serial
-    // quiescent point, so plain sums.
-    for (CandidateRun& run : runs) {
-      for (size_t k = 0; k < run.plans.size(); ++k) {
-        for (const PassStats& part : run.shard_stats[k]) {
-          AccumulateShardStats(run.pass_stats[k], part);
-        }
-        for (const WindowRunResult& part : run.shard_outcomes[k]) {
-          run.outcomes[k].pairs_visited += part.pairs_visited;
-          run.outcomes[k].stopped_early |= part.stopped_early;
-        }
-      }
-    }
-    if (metrics.enabled() && num_shards > 1) {
-      // Run-shape telemetry, published only when sharding is actually
-      // on: a shards=1 run's metric snapshot stays byte-identical to the
-      // unsharded engine's. Excluded from determinism digests like the
-      // persist.* family.
-      metrics.gauge("shard.count").Set(static_cast<double>(num_shards));
-      metrics.counter("shard.tasks").Add(shard_tasks.size());
-      size_t sharded_passes = 0;
-      size_t overlap_rows = 0;
-      for (const CandidateRun& run : runs) {
-        size_t per_pass_overlap = ShardOverlapRows(run.shard_plan);
-        for (const PassPlan& plan : run.plans) {
-          if (plan.skip) continue;
-          ++sharded_passes;
-          overlap_rows += per_pass_overlap;
-        }
-      }
-      metrics.counter("shard.passes").Add(sharded_passes);
-      metrics.counter("shard.overlap_rows").Add(overlap_rows);
-    }
-
-    // Deterministic merge + transitive closure (TC), serially in
-    // processing order.
-    obs::Tracer::Span merge_span = tracer.StartSpan("merge");
-    for (CandidateRun& run : runs) {
-      CandidateResult& cand_result = cand_results[run.index];
-      cand_result.name = run.cand->name;
-      cand_result.num_instances = run.instances->NumInstances();
-      MergePasses(run, cand_result, depth, metrics, explain);
-    }
-    merge_span.End();
-    result.timer.Add(kPhaseSlidingWindow, sw_watch.ElapsedSeconds());
-
-    // Degradation accounting, in the same deterministic order the
-    // governor planned in. `pairs_windowed` is what the pass actually
-    // enumerated, so one rule covers skips, shrunk windows, and
-    // cooperative early stops alike.
-    for (CandidateRun& run : runs) {
-      for (size_t k = 0; k < run.plans.size(); ++k) {
-        const PassPlan& plan = run.plans[k];
-        if (!plan.skip && !plan.shrunk && !run.outcomes[k].stopped_early) {
-          continue;
-        }
-        size_t executed = plan.skip ? 0 : run.pass_stats[k].pairs_windowed;
-        PassDegradation entry;
-        entry.candidate = run.cand->name;
-        entry.key_index = k;
-        entry.skipped = plan.skip;
-        entry.window_used = plan.window;
-        entry.rows = run.instances->NumInstances();
-        entry.pairs_planned = plan.planned;
-        entry.pairs_elided =
-            plan.planned > executed ? plan.planned - executed : 0;
-        explain.AppendShed(run.cand->name, static_cast<int>(k), plan.skip,
-                           run.cand->window_size, plan.window, entry.rows,
-                           entry.pairs_planned, entry.pairs_elided);
-        degradation.passes.push_back(std::move(entry));
-      }
-    }
-
-    if (metrics.enabled()) set_phase(obs::RunPhase::kTransitiveClosure);
-    for (CandidateRun& run : runs) {
-      if (util::FaultInjector::Instance().ShouldFail("tc.closure")) {
-        return Status::Internal(
-            "injected fault: transitive closure failed for candidate '" +
-            run.cand->name + "'");
-      }
-      util::Stopwatch tc_watch;
-      obs::Tracer::Span tc_span = tracer.StartSpan("tc/" + run.cand->name);
-      std::vector<MergeStep> lineage;
-      cluster_sets[run.index] = ComputeTransitiveClosure(
-          run.instances->NumInstances(),
-          cand_results[run.index].duplicate_pairs, &metrics,
-          explain.enabled() ? &lineage : nullptr);
-      if (explain.enabled()) {
-        for (const MergeStep& step : lineage) {
-          explain.AppendMerge(run.cand->name, step.pair.first,
-                              step.pair.second, step.root_a, step.root_b,
-                              step.root, step.merged);
-        }
-        const ClusterSet& clusters = cluster_sets[run.index];
-        for (const std::vector<size_t>& members :
-             clusters.NonTrivialClusters()) {
-          explain.AppendCluster(run.cand->name,
-                                static_cast<size_t>(clusters.cid(members[0])),
-                                members);
-        }
-      }
-      tc_span.End();
-      result.timer.Add(kPhaseTransitiveClosure, tc_watch.ElapsedSeconds());
-      cand_results[run.index].clusters = cluster_sets[run.index];
-    }
-
-    // The report rows of this level, in processing order (levels iterate
-    // deepest-first, matching the bottom-up assembly below).
-    if (metrics.enabled()) {
-      for (CandidateRun& run : runs) {
-        for (size_t k = 0; k < run.pass_stats.size(); ++k) {
-          result.report.rows.push_back({run.cand->name, k,
-                                        run.instances->NumInstances(),
-                                        run.pass_stats[k]});
-        }
-      }
-    }
-
-    // Level boundary: merge + closure done, every cluster set downstream
-    // levels need is final — a consistent cut. Commit it. Cancelled /
-    // wall-expired levels shed work nondeterministically, so they are
-    // never recorded as completed (a resume re-runs them properly). The
-    // FINAL level is not committed: a successful run deletes its
-    // checkpoint moments later anyway, so the commit would be pure
-    // overhead in the common case — a crash between here and completion
-    // resumes from the previous cut and re-runs one level.
-    if (checkpointing && ckpt_every_pass && level_ordinal < levels.size() &&
-        !cancelled && !wall_expired) {
-      SXNM_RETURN_IF_ERROR(write_checkpoint(level_ordinal));
-    }
-  }
-
-  // Assemble in the canonical bottom-up order, independent of the level
-  // grouping above.
-  for (size_t t : forest.ProcessingOrder()) {
-    cand_results[t].gk = std::move(gk[t]);
-    result.candidates.push_back(std::move(cand_results[t]));
-  }
-
-  // --- Degradation summary -------------------------------------------------
-  if (token.cancelled()) cancelled = true;
-  if (deadline.expired()) wall_expired = true;
-  if (!degradation.passes.empty()) {
-    degradation.degraded = true;
-    if (cancelled) {
-      degradation.reason = util::StatusCode::kCancelled;
-    } else if (wallclock_mode && wall_expired) {
-      degradation.reason = util::StatusCode::kDeadlineExceeded;
-    } else {
-      degradation.reason = budget_reason;
-    }
-  }
-  if (metrics.enabled()) {
-    metrics.counter("robust.degraded").Add(degradation.degraded ? 1 : 0);
-    metrics.counter("robust.passes_skipped").Add(degradation.PassesSkipped());
-    metrics.counter("robust.passes_shrunk").Add(degradation.PassesShrunk());
-    metrics.counter("robust.rows_skipped").Add(degradation.RowsSkipped());
-    metrics.counter("robust.pairs_elided").Add(degradation.PairsElided());
-    result.report.degradation = degradation;
-  }
-
-  // --- Observability export ----------------------------------------------
-  run_span.End();
-  if (profiling) {
-    // Folded after the run span ends, so every span has charged its
-    // CPU. The folded file commits atomically: a crash leaves the
-    // previous profile or none, never a torn one. The returned profile
-    // is folded again after the commit so that it covers the commit's
-    // CPU too (in "(unattributed)").
-    SXNM_RETURN_IF_ERROR(
-        tracer.CpuProfile().WriteFoldedFile(obs_cfg.profile_path));
-    result.profile = tracer.CpuProfile();
-    if (metrics.enabled()) result.report.profile = result.profile;
-  }
-  if (metrics.enabled()) set_phase(obs::RunPhase::kDone);
-  // Stop the sampler before snapshotting: the worker joins first, so the
-  // stream's final sample is taken after every engine writer quiesced
-  // and equals result.metrics below.
-  SXNM_RETURN_IF_ERROR(telemetry.Stop());
-  if (tracer.enabled()) {
-    SXNM_RETURN_IF_ERROR(tracer.WriteChromeTraceFile(obs_cfg.trace_path));
-  }
-  if (metrics.enabled()) {
-    result.metrics = metrics.Snapshot();
-    if (!obs_cfg.report_path.empty()) {
-      SXNM_RETURN_IF_ERROR(result.report.WriteJsonFile(obs_cfg.report_path));
-    }
-  }
-  if (explain.enabled()) {
-    SXNM_RETURN_IF_ERROR(explain.WriteFile(obs_cfg.explain_path));
-  }
-
-  // A deterministically complete run (including budget-shed runs, whose
-  // shed set is final) has nothing left to resume: drop the snapshot.
-  // Cancelled or wall-clock-expired runs keep theirs so a later run can
-  // pick up at the last durable level and finish the job.
-  if (checkpointing && !cancelled && !wall_expired) {
-    persist::RemoveFile(ckpt_path);
-  }
-  return result;
+  DetectionRun run(config_, options, tracer);
+  SXNM_RETURN_IF_ERROR(run.Resume(doc));
+  SXNM_RETURN_IF_ERROR(run.GenerateKeys(doc));
+  SXNM_RETURN_IF_ERROR(run.RestoreLevels());
+  SXNM_RETURN_IF_ERROR(run.DetectLevels());
+  return run.Finish();
 }
 
 }  // namespace sxnm::core

@@ -42,7 +42,13 @@ struct CandidateResult {
   /// The cluster set CS_s after transitive closure.
   ClusterSet clusters;
 
-  /// Similarity-measure invocations (windowed pairs actually compared).
+  /// Distinct windowed pairs compared (exact-OD pre-pass pairs excluded).
+  /// A pair windowed by several passes is compared by each but counted
+  /// once, by the first pass whose window covers it. Where cancellation
+  /// or a live wall-clock deadline cuts a level mid-pass, a pair whose
+  /// counting pass was cut before reaching it is not counted, even when a
+  /// later pass compared it: such a level's visited set depends on timing
+  /// anyway, and it is never checkpointed.
   size_t comparisons = 0;
 
   /// The GK relation (kept for diagnostics, examples, and tests).
@@ -100,11 +106,19 @@ struct DetectionResult {
 
   const CandidateResult* Find(std::string_view name) const;
 
-  double KeyGenerationSeconds() const;
-  double SlidingWindowSeconds() const;
-  double TransitiveClosureSeconds() const;
+  double KeyGenerationSeconds() const {
+    return timer.Seconds(kPhaseKeyGeneration);
+  }
+  double SlidingWindowSeconds() const {
+    return timer.Seconds(kPhaseSlidingWindow);
+  }
+  double TransitiveClosureSeconds() const {
+    return timer.Seconds(kPhaseTransitiveClosure);
+  }
   /// DD = SW + TC, the paper's "overall duplicate detection".
-  double DuplicateDetectionSeconds() const;
+  double DuplicateDetectionSeconds() const {
+    return SlidingWindowSeconds() + TransitiveClosureSeconds();
+  }
 
   size_t TotalComparisons() const;
 };

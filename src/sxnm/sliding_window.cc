@@ -14,18 +14,6 @@ size_t WindowPairCount(size_t n, size_t window) {
   return count;
 }
 
-size_t WindowPairCountRange(size_t n, size_t window, size_t begin,
-                            size_t end) {
-  assert(window >= 2);
-  assert(end <= n);
-  (void)n;
-  size_t count = 0;
-  for (size_t i = std::max<size_t>(begin, 1); i < end; ++i) {
-    count += std::min(i, window - 1);
-  }
-  return count;
-}
-
 size_t LargestWindowWithin(size_t n, size_t window, size_t budget) {
   assert(window >= 2);
   // WindowPairCount is monotone in the window, so binary search works;

@@ -18,7 +18,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -26,47 +28,23 @@
 
 namespace sxnm::core {
 
-/// Range variant of ForEachWindowPair, enumerating only the pairs whose
-/// ENTERING position lies in [begin, end). Every windowed pair has
-/// exactly one entering position, so a partition of [0, n) into
-/// contiguous ranges partitions the pair stream: running the ranges in
-/// order and concatenating their visits reproduces the full enumeration
-/// exactly — the owner rule behind key-range sharding (shard_plan.h).
-template <typename Visit>
-size_t ForEachWindowPairRange(const std::vector<size_t>& order, size_t window,
-                              size_t begin, size_t end, Visit&& visit) {
-  assert(window >= 2);
-  assert(end <= order.size());
-  size_t visited = 0;
-  for (size_t i = std::max<size_t>(begin, 1); i < end; ++i) {
-    size_t lo = (i >= window - 1) ? i - (window - 1) : 0;
-    for (size_t j = lo; j < i; ++j) {
-      visit(order[j], order[i]);
-      ++visited;
-    }
-  }
-  return visited;
-}
+/// The neighborhood one window pass enumerates. A fixed window visits
+/// every pair at sort distance < `window`. An adaptive window (the
+/// paper's outlook cites Lehti & Fankhauser's precise blocking [20])
+/// visits those too and *extends* beyond them — up to `max_window` — for
+/// as long as the sort keys still share a prefix of `prefix_len`
+/// characters with the entering element's key, so duplicates stranded in
+/// long runs of near-equal keys are reached without paying a large
+/// window everywhere.
+struct WindowPlan {
+  size_t window = 0;  // fixed window, or the adaptive base window (>= 2)
+  bool adaptive = false;
+  size_t max_window = 0;  // adaptive only; >= window
+  size_t prefix_len = 0;  // adaptive only; >= 1
+};
 
-/// Calls `visit(a, b)` for every pair of values of `order` at positions
-/// within distance < window of each other, in increasing position order;
-/// `a` precedes `b` in `order`. window >= 2; a window larger than the
-/// sequence degenerates to all pairs. Returns the number of pairs
-/// visited (== WindowPairCount(order.size(), window)).
-template <typename Visit>
-size_t ForEachWindowPair(const std::vector<size_t>& order, size_t window,
-                         Visit&& visit) {
-  return ForEachWindowPairRange(order, window, 0, order.size(),
-                                std::forward<Visit>(visit));
-}
-
-/// Number of pairs ForEachWindowPair visits for `n` elements.
+/// Number of pairs a fixed window visits for `n` elements.
 size_t WindowPairCount(size_t n, size_t window);
-
-/// Number of pairs ForEachWindowPairRange visits for entering positions
-/// [begin, end) of `n` elements.
-size_t WindowPairCountRange(size_t n, size_t window, size_t begin,
-                            size_t end);
 
 /// Largest window w' in [2, window] with WindowPairCount(n, w') <= budget,
 /// or 0 when even w' = 2 exceeds the budget. The governance layer shrinks
@@ -74,14 +52,43 @@ size_t WindowPairCountRange(size_t n, size_t window, size_t begin,
 /// instead of truncating the pass mid-way.
 size_t LargestWindowWithin(size_t n, size_t window, size_t budget);
 
-/// How often the interruptible enumerations poll cancellation/deadline:
-/// every this many visited pairs (and once up front).
+/// How often InterruptPoll polls cancellation/deadline: every this many
+/// visited pairs (and once up front).
 inline constexpr size_t kInterruptCheckInterval = 4096;
 
-/// Outcome of an interruptible window enumeration.
+/// Outcome of a window enumeration.
 struct WindowRunResult {
   size_t pairs_visited = 0;
-  bool stopped_early = false;  // cancellation or deadline cut the pass short
+  bool stopped_early = false;  // the stop policy cut the pass short
+};
+
+/// Stop policies. An enumeration asks its policy `stop()` before every
+/// visit and returns as soon as it answers true, so the visited pairs are
+/// a prefix of the range's enumeration order (a cut-short sharded pass is
+/// a union of per-shard prefixes). NeverStop is a compile-time false: the
+/// test folds away and the loop is the plain enumeration.
+using NeverStop = std::false_type;
+
+/// Polls `token`/`deadline` every kInterruptCheckInterval pairs.
+class InterruptPoll {
+ public:
+  InterruptPoll(const util::CancellationToken& token,
+                const util::Deadline& deadline)
+      : token_(token), deadline_(deadline) {}
+
+  bool operator()() {
+    if (until_check_ > 0) {
+      --until_check_;
+      return false;
+    }
+    until_check_ = kInterruptCheckInterval - 1;
+    return token_.cancelled() || deadline_.expired();
+  }
+
+ private:
+  const util::CancellationToken& token_;
+  const util::Deadline& deadline_;
+  size_t until_check_ = 0;
 };
 
 namespace internal {
@@ -96,42 +103,29 @@ inline bool SharePrefix(const std::string& a, const std::string& b,
   return a.compare(0, len, b, 0, len) == 0;
 }
 
-// Shared polling state of the interruptible enumerations.
-struct InterruptPoll {
-  const util::CancellationToken& token;
-  const util::Deadline& deadline;
-  size_t until_check = 0;
-
-  bool ShouldStop() {
-    if (until_check > 0) {
-      --until_check;
-      return false;
-    }
-    until_check = kInterruptCheckInterval - 1;
-    return token.cancelled() || deadline.expired();
-  }
-};
-
 }  // namespace internal
 
-/// ForEachWindowPair that polls `token`/`deadline` every
-/// kInterruptCheckInterval pairs and stops early when either fires,
-/// with entering positions restricted to [begin, end). The visited
-/// pairs are a prefix of the RANGE's enumeration (per-shard prefix; a
-/// cut-short sharded pass is a union of per-shard prefixes).
-template <typename Visit>
-WindowRunResult ForEachWindowPairRangeInterruptible(
-    const std::vector<size_t>& order, size_t window, size_t begin, size_t end,
-    const util::CancellationToken& token, const util::Deadline& deadline,
-    Visit&& visit) {
+/// Calls `visit(a, b)` for every pair of values of `order` at positions
+/// within distance < window of each other whose ENTERING (later)
+/// position lies in [begin, end), in increasing position order; `a`
+/// precedes `b` in `order`. window >= 2; a window larger than the
+/// sequence degenerates to all pairs, and [0, n) visits
+/// WindowPairCount(n, window) pairs. Every windowed pair has exactly one
+/// entering position, so a partition of [0, n) into contiguous ranges
+/// partitions the pair stream: running the ranges in order and
+/// concatenating their visits reproduces the whole-relation enumeration
+/// exactly — the owner rule behind key-range sharding (shard_plan.h).
+template <typename Stop, typename Visit>
+WindowRunResult ForEachWindowPair(const std::vector<size_t>& order,
+                                  size_t window, size_t begin, size_t end,
+                                  Stop&& stop, Visit&& visit) {
   assert(window >= 2);
   assert(end <= order.size());
   WindowRunResult result;
-  internal::InterruptPoll poll{token, deadline};
   for (size_t i = std::max<size_t>(begin, 1); i < end; ++i) {
     size_t lo = (i >= window - 1) ? i - (window - 1) : 0;
     for (size_t j = lo; j < i; ++j) {
-      if (poll.ShouldStop()) {
+      if (stop()) {
         result.stopped_early = true;
         return result;
       }
@@ -142,46 +136,24 @@ WindowRunResult ForEachWindowPairRangeInterruptible(
   return result;
 }
 
-/// Full-relation form: polls the same way with the visited pairs a
-/// prefix of the complete enumeration order, so a cut-short pass is
-/// still a valid (smaller) neighborhood.
-template <typename Visit>
-WindowRunResult ForEachWindowPairInterruptible(
-    const std::vector<size_t>& order, size_t window,
-    const util::CancellationToken& token, const util::Deadline& deadline,
-    Visit&& visit) {
-  return ForEachWindowPairRangeInterruptible(order, window, 0, order.size(),
-                                             token, deadline,
-                                             std::forward<Visit>(visit));
-}
-
-/// Adaptive windowing (the paper's outlook cites Lehti & Fankhauser's
-/// precise blocking [20]): every pair within the base window is visited
-/// as usual, and the neighborhood *extends* beyond it — up to
-/// `max_window` — for as long as the sort keys still share a prefix of
-/// `prefix_len` characters with the entering element's key. Duplicates
-/// stranded in long runs of near-equal keys are reached without paying a
-/// large window everywhere.
-///
-/// `key_of(v)` returns the sort key of value `v` of `order` for the
-/// current pass. Requires 2 <= base_window <= max_window and
-/// prefix_len >= 1. Returns the number of pairs visited.
-/// Range variant of ForEachAdaptiveWindowPair: entering positions
-/// restricted to [begin, end). The backward scan still reaches through
-/// the range's left edge (context rows of the owning shard), so the
-/// concatenated shard streams reproduce the full adaptive enumeration.
-template <typename KeyOf, typename Visit>
-size_t ForEachAdaptiveWindowPairRange(const std::vector<size_t>& order,
-                                      KeyOf&& key_of, size_t base_window,
-                                      size_t max_window, size_t prefix_len,
-                                      size_t begin, size_t end,
-                                      Visit&& visit) {
+/// The adaptive enumeration of WindowPlan over entering positions
+/// [begin, end). `key_of(v)` returns the sort key of value `v` of `order`
+/// for the current pass. Requires 2 <= base_window <= max_window and
+/// prefix_len >= 1. The backward scan reaches through the range's left
+/// edge (context rows of the owning shard), so concatenated range streams
+/// reproduce the whole-relation enumeration, as for ForEachWindowPair.
+template <typename KeyOf, typename Stop, typename Visit>
+WindowRunResult ForEachAdaptiveWindowPair(const std::vector<size_t>& order,
+                                          KeyOf&& key_of, size_t base_window,
+                                          size_t max_window,
+                                          size_t prefix_len, size_t begin,
+                                          size_t end, Stop&& stop,
+                                          Visit&& visit) {
   assert(base_window >= 2);
   assert(max_window >= base_window);
   assert(prefix_len >= 1);
   assert(end <= order.size());
-
-  size_t visited = 0;
+  WindowRunResult result;
   for (size_t i = std::max<size_t>(begin, 1); i < end; ++i) {
     const std::string& entering = key_of(order[i]);
     size_t max_span = std::min(i, max_window - 1);
@@ -191,47 +163,7 @@ size_t ForEachAdaptiveWindowPairRange(const std::vector<size_t>& order,
           !internal::SharePrefix(key_of(order[j]), entering, prefix_len)) {
         break;  // left the equal-prefix block; stop extending
       }
-      visit(order[j], order[i]);
-      ++visited;
-    }
-  }
-  return visited;
-}
-
-template <typename KeyOf, typename Visit>
-size_t ForEachAdaptiveWindowPair(const std::vector<size_t>& order,
-                                 KeyOf&& key_of, size_t base_window,
-                                 size_t max_window, size_t prefix_len,
-                                 Visit&& visit) {
-  return ForEachAdaptiveWindowPairRange(
-      order, std::forward<KeyOf>(key_of), base_window, max_window, prefix_len,
-      0, order.size(), std::forward<Visit>(visit));
-}
-
-/// Interruptible range variant of ForEachAdaptiveWindowPair; same
-/// polling and per-range prefix guarantee.
-template <typename KeyOf, typename Visit>
-WindowRunResult ForEachAdaptiveWindowPairRangeInterruptible(
-    const std::vector<size_t>& order, KeyOf&& key_of, size_t base_window,
-    size_t max_window, size_t prefix_len, size_t begin, size_t end,
-    const util::CancellationToken& token, const util::Deadline& deadline,
-    Visit&& visit) {
-  assert(base_window >= 2);
-  assert(max_window >= base_window);
-  assert(prefix_len >= 1);
-  assert(end <= order.size());
-  WindowRunResult result;
-  internal::InterruptPoll poll{token, deadline};
-  for (size_t i = std::max<size_t>(begin, 1); i < end; ++i) {
-    const std::string& entering = key_of(order[i]);
-    size_t max_span = std::min(i, max_window - 1);
-    for (size_t span = 1; span <= max_span; ++span) {
-      size_t j = i - span;
-      if (span >= base_window &&
-          !internal::SharePrefix(key_of(order[j]), entering, prefix_len)) {
-        break;
-      }
-      if (poll.ShouldStop()) {
+      if (stop()) {
         result.stopped_early = true;
         return result;
       }
@@ -242,17 +174,22 @@ WindowRunResult ForEachAdaptiveWindowPairRangeInterruptible(
   return result;
 }
 
-/// Interruptible variant of ForEachAdaptiveWindowPair; same polling and
-/// prefix guarantee.
-template <typename KeyOf, typename Visit>
-WindowRunResult ForEachAdaptiveWindowPairInterruptible(
-    const std::vector<size_t>& order, KeyOf&& key_of, size_t base_window,
-    size_t max_window, size_t prefix_len,
-    const util::CancellationToken& token, const util::Deadline& deadline,
-    Visit&& visit) {
-  return ForEachAdaptiveWindowPairRangeInterruptible(
-      order, std::forward<KeyOf>(key_of), base_window, max_window, prefix_len,
-      0, order.size(), token, deadline, std::forward<Visit>(visit));
+/// True iff a whole-relation enumeration of `plan` visits the pair of
+/// values `a` != `b`, given `rank[v]` = position of `v` in the pass order
+/// and `key_of` as above. A fixed window visits rank distance < window.
+/// An adaptive window adds distance < max_window with SharePrefix between
+/// the two keys alone: a prefix class is a contiguous run of the sorted
+/// order, so every key the backward scan passes between the two shares
+/// the prefix too and the scan cannot have stopped short.
+template <typename KeyOf>
+bool Windowed(const WindowPlan& plan, const std::vector<uint32_t>& rank,
+              KeyOf&& key_of, size_t a, size_t b) {
+  uint32_t ra = rank[a];
+  uint32_t rb = rank[b];
+  size_t distance = ra > rb ? ra - rb : rb - ra;
+  if (distance < plan.window) return true;
+  return plan.adaptive && distance < plan.max_window &&
+         internal::SharePrefix(key_of(a), key_of(b), plan.prefix_len);
 }
 
 }  // namespace sxnm::core

@@ -13,10 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <tuple>
 #include <vector>
 
@@ -37,7 +40,7 @@ struct Digest {
       h *= 1099511628211ull;
     }
   }
-  void Add(const std::string& s) {
+  void Add(std::string_view s) {
     Add(s.size());
     for (unsigned char c : s) {
       h ^= c;
@@ -57,20 +60,33 @@ uint64_t ClusterDigest(const core::CandidateResult& cand) {
   return d.h;
 }
 
-// The raw text of `"field":<value>` in one NDJSON line (strings keep their
-// quotes; numbers and booleans are returned verbatim).
-std::string Field(const std::string& line, const std::string& field) {
-  const std::string tag = "\"" + field + "\":";
-  size_t at = line.find(tag);
-  if (at == std::string::npos) return {};
+// The value of the first `tag` (`"field":`) at or after `from` in one
+// NDJSON line — strings keep their quotes; numbers and booleans are
+// returned verbatim — or empty when the tag is absent. Moves `from` past
+// the value, so a record's fields are read in their written order
+// without rescanning the line.
+std::string_view Field(std::string_view line, std::string_view tag,
+                       size_t& from) {
+  size_t at = line.find(tag, from);
+  if (at == std::string_view::npos) return {};
   at += tag.size();
   size_t end = at;
-  if (line[at] == '"') {
+  if (at < line.size() && line[at] == '"') {
     end = line.find('"', at + 1) + 1;
   } else {
     while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
   }
+  from = end;
   return line.substr(at, end - at);
+}
+
+long Number(std::string_view text) {
+  long value = 0;
+  auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  EXPECT_TRUE(error == std::errc() && end == text.data() + text.size())
+      << "not an integer: '" << text << "'";
+  return value;
 }
 
 struct ExplainPairs {
@@ -79,18 +95,31 @@ struct ExplainPairs {
 };
 
 // Digest of the multiset of pair records, each reduced to (candidate,
-// pass, a, b, verdict).
+// pass, a, b, verdict). The log is read once and scanned in place.
 ExplainPairs DigestExplainPairs(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.good()) << path;
-  std::vector<std::tuple<std::string, long, long, long, std::string>> pairs;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (Field(line, "type") != "\"pair\"") continue;
-    pairs.emplace_back(Field(line, "candidate"),
-                       std::stol(Field(line, "pass")),
-                       std::stol(Field(line, "a")), std::stol(Field(line, "b")),
-                       Field(line, "verdict"));
+  std::string text;
+  in.seekg(0, std::ios::end);
+  text.resize(static_cast<size_t>(in.tellg()));
+  in.seekg(0);
+  in.read(text.data(), static_cast<std::streamsize>(text.size()));
+  std::vector<std::tuple<std::string_view, long, long, long, std::string_view>>
+      pairs;
+  std::string_view rest = text;
+  while (!rest.empty()) {
+    size_t eol = rest.find('\n');
+    std::string_view line = rest.substr(0, eol);
+    rest.remove_prefix(eol == std::string_view::npos ? rest.size() : eol + 1);
+    size_t from = 0;
+    if (Field(line, "\"type\":", from) != "\"pair\"") continue;
+    std::string_view cand = Field(line, "\"candidate\":", from);
+    long pass = Number(Field(line, "\"pass\":", from));
+    long a = Number(Field(line, "\"a\":", from));
+    long b = Number(Field(line, "\"b\":", from));
+    // The verdict closes the record, after the scoring breakdown.
+    from = line.rfind("\"verdict\":");
+    pairs.emplace_back(cand, pass, a, b, Field(line, "\"verdict\":", from));
   }
   std::sort(pairs.begin(), pairs.end());
   Digest d;

@@ -21,7 +21,7 @@ std::vector<std::pair<size_t, size_t>> CollectAdaptive(
   std::vector<std::pair<size_t, size_t>> pairs;
   ForEachAdaptiveWindowPair(
       order, [&](size_t v) -> const std::string& { return keys[v]; }, base,
-      max_window, prefix,
+      max_window, prefix, 0, order.size(), NeverStop{},
       [&](size_t a, size_t b) { pairs.emplace_back(a, b); });
   return pairs;
 }
@@ -80,9 +80,8 @@ TEST(AdaptiveWindowTest, SupersetOfFixedWindow) {
   for (size_t i = 0; i < keys.size(); ++i) order[i] = i;
 
   std::set<std::pair<size_t, size_t>> fixed;
-  ForEachWindowPair(order, 3, [&](size_t a, size_t b) {
-    fixed.insert({a, b});
-  });
+  ForEachWindowPair(order, 3, 0, order.size(), NeverStop{},
+                    [&](size_t a, size_t b) { fixed.insert({a, b}); });
   auto adaptive = CollectAdaptive(keys, 3, 10, 2);
   std::set<std::pair<size_t, size_t>> adaptive_set(adaptive.begin(),
                                                    adaptive.end());

@@ -187,6 +187,33 @@ TEST(CheckpointCodecTest, GkTableRejectsDanglingOdRefs) {
   EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
 }
 
+TEST(CheckpointCodecTest, GkTableRejectsRowWithUninternedOds) {
+  // Key generation interns every OD value, so a row whose normalized-OD
+  // count differs from its OD count cannot come from a real run.
+  GkTable table;
+  table.num_keys = 1;
+  table.num_od = 2;
+  OdRef ref = table.od_pool.Intern("x");
+  GkRow row;
+  row.keys = {"k"};
+  row.ods = {"x", "y"};
+  row.norm_ods = {ref};
+  table.rows.push_back(row);
+  for (size_t norm : {size_t{0}, size_t{1}, size_t{3}}) {
+    SCOPED_TRACE("norm_ods=" + std::to_string(norm));
+    table.rows[0].norm_ods.assign(norm, ref);
+    persist::Encoder enc;
+    EncodeGkTable(table, 0, true, enc);
+    auto decoded = DecodeGkTable(enc.bytes());
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+  }
+  table.rows[0].norm_ods.assign(2, ref);
+  persist::Encoder enc;
+  EncodeGkTable(table, 0, true, enc);
+  EXPECT_TRUE(DecodeGkTable(enc.bytes()).ok());
+}
+
 TEST(CheckpointCodecTest, CandidateResultRoundTripsPairsAndClusters) {
   CandidateResult result;
   result.name = "movie";
@@ -288,6 +315,31 @@ TEST(EngineSnapshotTest, Version1SnapshotIsRefused) {
   auto loaded = LoadEngineSnapshot(path, CheckpointFingerprint{});
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// Completed-candidate frames must name a candidate of the snapshot's GK
+// frames, each at most once; anything else is corruption.
+TEST(EngineSnapshotTest, CompletedCandidateIndicesCheckedAtLoad) {
+  std::vector<GkTable> gk(2);
+  std::vector<char> kg_done(2, 1);
+  CandidateResult result;
+  result.name = "movie";
+  std::string path = TempPath("indices.ckpt");
+  using Completed = std::vector<std::pair<uint64_t, const CandidateResult*>>;
+  for (const auto& [completed, ok] :
+       {std::pair{Completed{{1, &result}}, true},
+        std::pair{Completed{{0, &result}, {0, &result}}, false},
+        std::pair{Completed{{2, &result}}, false}}) {
+    EngineSnapshotView view;
+    view.gk = &gk;
+    view.kg_done = &kg_done;
+    view.completed = completed;
+    ASSERT_TRUE(SaveEngineSnapshot(view, path).ok());
+    auto loaded = LoadEngineSnapshot(path, CheckpointFingerprint{});
+    EXPECT_EQ(loaded.status().code(),
+              ok ? StatusCode::kOk : StatusCode::kDataLoss)
+        << loaded.status().ToString();
+  }
 }
 
 TEST(EngineSnapshotTest, LoadRefusalMatrix) {

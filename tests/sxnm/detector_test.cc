@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "datagen/dirty_gen.h"
+#include "datagen/movies.h"
+#include "sxnm/sliding_window.h"
 #include "xml/parser.h"
 
 namespace sxnm::core {
@@ -275,6 +283,133 @@ TEST(DetectorTest, FindMissingCandidateReturnsNull) {
   auto result = detector.Run(doc.value());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->Find("nope"), nullptr);
+}
+
+struct BruteForce {
+  size_t distinct = 0;  // the expected CandidateResult::comparisons
+  size_t visits = 0;    // windowed pairs summed over the passes
+  size_t prepass = 0;   // distinct windowed pairs the pre-pass accepted
+};
+
+// The distinct comparisons of one candidate by brute force: one std::set
+// of every enumerating pass's windowed pairs, with the window each pass
+// ran with (read off its degradation entry), minus the exact-OD
+// pre-pass pairs.
+BruteForce BruteForceComparisons(const CandidateConfig& cand,
+                                 const DetectionResult& result) {
+  const GkTable& gk = result.Find(cand.name)->gk;
+  std::set<OrdinalPair> windowed;
+  BruteForce counts;
+  for (size_t k = 0; k < cand.keys.size(); ++k) {
+    size_t window = cand.window_size;
+    bool adaptive = cand.window_policy == WindowPolicy::kAdaptivePrefix;
+    for (const PassDegradation& entry : result.degradation.passes) {
+      if (entry.candidate == cand.name && entry.key_index == k) {
+        window = entry.window_used;  // shrunk, or 0 when skipped
+        adaptive = false;
+      }
+    }
+    if (window == 0) continue;
+    std::vector<size_t> order = gk.SortedOrder(k);
+    auto key_of = [&](size_t v) -> const std::string& {
+      return gk.rows[v].keys[k];
+    };
+    auto visit = [&](size_t a, size_t b) {
+      windowed.insert(std::minmax(a, b));
+      ++counts.visits;
+    };
+    if (adaptive) {
+      ForEachAdaptiveWindowPair(order, key_of, window, cand.max_window,
+                                cand.adaptive_prefix_len, 0, order.size(),
+                                NeverStop{}, visit);
+    } else {
+      ForEachWindowPair(order, window, 0, order.size(), NeverStop{}, visit);
+    }
+  }
+  if (cand.exact_od_prepass) {
+    // Each row is linked to the first row with the same normalized ODs.
+    std::map<std::vector<std::string>, size_t> first_of;
+    for (const GkRow& row : gk.rows) {
+      std::vector<std::string> ods;
+      for (const OdRef& ref : row.norm_ods) {
+        ods.emplace_back(gk.od_pool.View(ref));
+      }
+      auto [it, inserted] = first_of.emplace(ods, row.ordinal);
+      if (!inserted) {
+        counts.prepass += windowed.erase({it->second, row.ordinal});
+      }
+    }
+  }
+  counts.distinct = windowed.size();
+  return counts;
+}
+
+// CandidateResult::comparisons counts each windowed pair once however
+// many passes window it: checked against brute force for three keys,
+// fixed and adaptive windows, a budget-shrunk boundary pass, and the
+// exact-OD pre-pass, across shards and threads.
+TEST(DetectorTest, DistinctComparisonsMatchBruteForce) {
+  datagen::MovieDataOptions gen;
+  gen.num_movies = 120;
+  gen.seed = 5;
+  auto doc = datagen::MakeDirty(datagen::GenerateCleanMovies(gen),
+                                datagen::RepeatedSubtreePreset(3));
+  ASSERT_TRUE(doc.ok());
+  const size_t window = 6;
+  for (bool adaptive : {false, true}) {
+    for (bool prepass : {false, true}) {
+      CandidateBuilder builder("movie", "movie_database/movies/movie");
+      builder.Path(1, "title/text()")
+          .Path(2, "@year")
+          .Path(3, "@length")
+          .Od(1, 1.0)
+          .Key({{1, "K1-K5"}, {2, "D3,D4"}})
+          .Key({{2, "D3,D4"}, {1, "K1,K2"}})
+          .Key({{3, "D1,D2"}, {1, "K1,K2"}})
+          .Window(window)
+          .OdThreshold(0.9)
+          .ExactOdPrepass(prepass);
+      if (adaptive) builder.AdaptiveWindow(/*prefix_len=*/2, /*max_window=*/14);
+      auto cand = builder.Build();
+      ASSERT_TRUE(cand.ok()) << cand.status().ToString();
+      Config base;
+      ASSERT_TRUE(base.AddCandidate(cand.value()).ok());
+      auto full = Detector(base).Run(doc.value());
+      ASSERT_TRUE(full.ok()) << full.status().ToString();
+      const size_t pass_pairs =
+          WindowPairCount(full->Find("movie")->num_instances, window);
+      for (bool shrink : {false, true}) {
+        for (size_t shards : {size_t{1}, size_t{3}}) {
+          for (size_t threads : {size_t{1}, size_t{4}}) {
+            SCOPED_TRACE("adaptive=" + std::to_string(adaptive) +
+                         " prepass=" + std::to_string(prepass) +
+                         " shrink=" + std::to_string(shrink) +
+                         " shards=" + std::to_string(shards) +
+                         " threads=" + std::to_string(threads));
+            Config config = base;
+            config.set_shards(shards);
+            config.set_num_threads(threads);
+            // Pass 1 runs in full, pass 2 shrinks, pass 3 is skipped.
+            if (shrink) {
+              config.mutable_limits().max_comparisons =
+                  pass_pairs + pass_pairs / 2;
+            }
+            auto result = Detector(config).Run(doc.value());
+            ASSERT_TRUE(result.ok()) << result.status().ToString();
+            EXPECT_EQ(result->degradation.PassesShrunk(), shrink ? 1u : 0u);
+            EXPECT_EQ(result->degradation.PassesSkipped(), shrink ? 1u : 0u);
+            BruteForce expected =
+                BruteForceComparisons(cand.value(), result.value());
+            EXPECT_EQ(result->Find("movie")->comparisons, expected.distinct);
+            // The passes overlap and the pre-pass takes windowed pairs, so
+            // both parts of the rule are exercised.
+            EXPECT_LT(expected.distinct, expected.visits);
+            EXPECT_EQ(expected.prepass > 0, prepass);
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -75,15 +75,17 @@ TEST(ShardPlanTest, RangeEnumerationsConcatenateToFullEnumeration) {
   for (size_t window : {size_t{2}, size_t{5}, size_t{60}}) {
     for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{7}}) {
       std::vector<std::pair<size_t, size_t>> full;
-      ForEachWindowPair(order, window, [&](size_t a, size_t b) {
-        full.emplace_back(a, b);
-      });
+      ForEachWindowPair(order, window, 0, n, NeverStop{},
+                        [&](size_t a, size_t b) { full.emplace_back(a, b); });
       std::vector<std::pair<size_t, size_t>> pieced;
       size_t count = 0;
       for (const ShardSlice& s : ComputeShardPlan(n, shards, window)) {
-        count += ForEachWindowPairRange(
-            order, window, s.owned_begin, s.owned_end,
-            [&](size_t a, size_t b) { pieced.emplace_back(a, b); });
+        count += ForEachWindowPair(order, window, s.owned_begin,
+                                   s.owned_end, NeverStop{},
+                                   [&](size_t a, size_t b) {
+                                     pieced.emplace_back(a, b);
+                                   })
+                     .pairs_visited;
       }
       SCOPED_TRACE("window=" + std::to_string(window) +
                    " shards=" + std::to_string(shards));
@@ -103,34 +105,18 @@ TEST(ShardPlanTest, AdaptiveRangeEnumerationsConcatenateToo) {
   }
   auto key_of = [&](size_t v) -> const std::string& { return keys[v]; };
   std::vector<std::pair<size_t, size_t>> full;
-  ForEachAdaptiveWindowPair(order, key_of, 3, 12, 2, [&](size_t a, size_t b) {
-    full.emplace_back(a, b);
-  });
+  ForEachAdaptiveWindowPair(
+      order, key_of, 3, 12, 2, 0, n, NeverStop{},
+      [&](size_t a, size_t b) { full.emplace_back(a, b); });
   for (size_t shards : {size_t{2}, size_t{3}, size_t{5}}) {
     std::vector<std::pair<size_t, size_t>> pieced;
     for (const ShardSlice& s : ComputeShardPlan(n, shards, 12)) {
-      ForEachAdaptiveWindowPairRange(
-          order, key_of, 3, 12, 2, s.owned_begin, s.owned_end,
+      ForEachAdaptiveWindowPair(
+          order, key_of, 3, 12, 2, s.owned_begin, s.owned_end, NeverStop{},
           [&](size_t a, size_t b) { pieced.emplace_back(a, b); });
     }
     SCOPED_TRACE("shards=" + std::to_string(shards));
     EXPECT_EQ(pieced, full);
-  }
-}
-
-TEST(ShardPlanTest, WindowPairCountRangeSumsToTotal) {
-  for (size_t n : {size_t{0}, size_t{1}, size_t{9}, size_t{50}}) {
-    for (size_t window : {size_t{2}, size_t{4}, size_t{100}}) {
-      for (size_t shards : {size_t{1}, size_t{3}, size_t{6}}) {
-        size_t total = 0;
-        for (const ShardSlice& s : ComputeShardPlan(n, shards, window)) {
-          total += WindowPairCountRange(n, window, s.owned_begin,
-                                        s.owned_end);
-        }
-        EXPECT_EQ(total, WindowPairCount(n, window))
-            << "n=" << n << " window=" << window << " shards=" << shards;
-      }
-    }
   }
 }
 

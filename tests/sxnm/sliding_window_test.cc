@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
 #include <set>
+#include <string>
 
 namespace sxnm::core {
 namespace {
@@ -10,9 +14,8 @@ namespace {
 std::vector<std::pair<size_t, size_t>> Collect(const std::vector<size_t>& order,
                                                size_t window) {
   std::vector<std::pair<size_t, size_t>> pairs;
-  ForEachWindowPair(order, window, [&](size_t a, size_t b) {
-    pairs.emplace_back(a, b);
-  });
+  ForEachWindowPair(order, window, 0, order.size(), NeverStop{},
+                    [&](size_t a, size_t b) { pairs.emplace_back(a, b); });
   return pairs;
 }
 
@@ -37,7 +40,7 @@ TEST(SlidingWindowTest, WindowCoversExactlyDistanceLessThanW) {
   for (size_t w : {2u, 3u, 5u, 7u, 19u, 50u}) {
     std::set<std::pair<size_t, size_t>> seen;
     size_t visits = 0;
-    ForEachWindowPair(order, w, [&](size_t a, size_t b) {
+    ForEachWindowPair(order, w, 0, n, NeverStop{}, [&](size_t a, size_t b) {
       ++visits;
       EXPECT_LT(a, b);
       EXPECT_LT(b - a, w) << "pair outside window";
@@ -82,6 +85,106 @@ TEST(SlidingWindowTest, LinearInNForFixedWindow) {
   size_t c1 = WindowPairCount(1000, 10);
   size_t c2 = WindowPairCount(2000, 10);
   EXPECT_NEAR(static_cast<double>(c2) / static_cast<double>(c1), 2.0, 0.02);
+}
+
+// A stop policy cuts both enumerations to a prefix of their order: the
+// first `limit` visits of the uncut run, and nothing after.
+TEST(SlidingWindowTest, StopPolicyCutsToPrefix) {
+  std::vector<std::string> keys = {"aa", "ab", "ab", "ac", "b", "ba", "bb"};
+  std::vector<size_t> order(keys.size());
+  std::iota(order.begin(), order.end(), 0);
+  auto key_of = [&](size_t v) -> const std::string& { return keys[v]; };
+  for (bool adaptive : {false, true}) {
+    auto run = [&](auto&& stop) {
+      std::vector<std::pair<size_t, size_t>> pairs;
+      auto visit = [&](size_t a, size_t b) { pairs.emplace_back(a, b); };
+      WindowRunResult result =
+          adaptive ? ForEachAdaptiveWindowPair(order, key_of, 2, 5, 1, 0,
+                                               order.size(), stop, visit)
+                   : ForEachWindowPair(order, 3, 0, order.size(), stop, visit);
+      EXPECT_EQ(result.pairs_visited, pairs.size());
+      return std::make_pair(pairs, result.stopped_early);
+    };
+    auto [full, full_stopped] = run(NeverStop{});
+    EXPECT_FALSE(full_stopped);
+    for (size_t limit = 0; limit <= full.size(); ++limit) {
+      SCOPED_TRACE("adaptive=" + std::to_string(adaptive) +
+                   " limit=" + std::to_string(limit));
+      auto [cut, stopped] =
+          run([left = limit]() mutable { return left-- == 0; });
+      EXPECT_EQ(stopped, limit < full.size());
+      std::vector<std::pair<size_t, size_t>> prefix(full.begin(),
+                                                    full.begin() + limit);
+      EXPECT_EQ(cut, prefix);
+    }
+  }
+}
+
+// Windowed is the membership test of the enumerations: over random
+// orders, windows, prefix lengths (keys shorter than the prefix
+// included) and entering ranges, it holds for exactly the pairs whose
+// entering position lies in the range that the range enumeration visits.
+TEST(WindowedTest, HoldsExactlyForEnumeratedPairs) {
+  std::mt19937 rng(2006);
+  for (int trial = 0; trial < 500; ++trial) {
+    const size_t n = rng() % 40;
+    std::vector<std::string> keys(n);
+    for (std::string& key : keys) {
+      size_t len = rng() % 5;
+      for (size_t c = 0; c < len; ++c) {
+        key += static_cast<char>('a' + rng() % 3);
+      }
+    }
+    auto key_of = [&](size_t v) -> const std::string& { return keys[v]; };
+    WindowPlan plan;
+    plan.window = 2 + rng() % 6;
+    plan.adaptive = rng() % 2 == 0;
+    std::vector<size_t> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    if (plan.adaptive) {
+      // An adaptive pass runs over its key's sorted order.
+      plan.max_window = plan.window + rng() % 10;
+      plan.prefix_len = 1 + rng() % 4;
+      std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return keys[a] < keys[b];
+      });
+    } else {
+      std::shuffle(order.begin(), order.end(), rng);
+    }
+    std::vector<uint32_t> rank(n);
+    for (size_t i = 0; i < n; ++i) rank[order[i]] = static_cast<uint32_t>(i);
+    const size_t begin = rng() % (n + 1);
+    const size_t end = begin + rng() % (n + 1 - begin);
+
+    std::set<std::pair<size_t, size_t>> visited;
+    auto visit = [&](size_t a, size_t b) {
+      EXPECT_TRUE(visited.insert(std::minmax(a, b)).second);
+    };
+    if (plan.adaptive) {
+      ForEachAdaptiveWindowPair(order, key_of, plan.window, plan.max_window,
+                                plan.prefix_len, begin, end, NeverStop{},
+                                visit);
+    } else {
+      ForEachWindowPair(order, plan.window, begin, end, NeverStop{}, visit);
+    }
+    std::set<std::pair<size_t, size_t>> expected;
+    for (size_t a = 0; a < n; ++a) {
+      for (size_t b = a + 1; b < n; ++b) {
+        size_t entering = std::max(rank[a], rank[b]);
+        if (entering >= begin && entering < end &&
+            Windowed(plan, rank, key_of, a, b)) {
+          expected.insert({a, b});
+        }
+      }
+    }
+    SCOPED_TRACE("trial=" + std::to_string(trial) + " n=" +
+                 std::to_string(n) + " window=" + std::to_string(plan.window) +
+                 " adaptive=" + std::to_string(plan.adaptive) +
+                 " max_window=" + std::to_string(plan.max_window) +
+                 " prefix=" + std::to_string(plan.prefix_len) + " range=[" +
+                 std::to_string(begin) + "," + std::to_string(end) + ")");
+    EXPECT_EQ(visited, expected);
+  }
 }
 
 }  // namespace
