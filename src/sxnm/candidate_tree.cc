@@ -1,8 +1,9 @@
 #include "sxnm/candidate_tree.h"
 
 #include <algorithm>
-#include <memory>
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <queue>
 
 namespace sxnm::core {
@@ -17,12 +18,24 @@ util::Result<CandidateForest> CandidateForest::Build(
   const Config& config = *forest.config_;
   forest.candidates_.resize(config.candidates().size());
 
-  // Instance discovery, plus the element -> (type, ordinal) index.
+  // Instance discovery, plus the element -> (type, ordinal) index, by
+  // element ID.
   struct Membership {
-    size_t type;
-    size_t ordinal;
+    size_t type = SIZE_MAX;  // SIZE_MAX: not a candidate instance
+    size_t ordinal = 0;
   };
-  std::map<const xml::Element*, Membership> membership;
+  std::vector<Membership> membership(doc.element_count());
+  // The membership of `e`, or nullptr when `e` is no instance.
+  auto member_of = [&](const xml::Element* e) -> const Membership* {
+    const xml::ElementId id = e->id();
+    if (id < 0 || static_cast<size_t>(id) >= membership.size()) return nullptr;
+    const Membership& m = membership[static_cast<size_t>(id)];
+    if (m.type == SIZE_MAX ||
+        forest.candidates_[m.type].elements[m.ordinal] != e) {
+      return nullptr;
+    }
+    return &m;
+  };
 
   for (size_t t = 0; t < config.candidates().size(); ++t) {
     const CandidateConfig& cand = config.candidates()[t];
@@ -35,15 +48,24 @@ util::Result<CandidateForest> CandidateForest::Build(
     info.eids.reserve(info.elements.size());
     for (size_t i = 0; i < info.elements.size(); ++i) {
       const xml::Element* e = info.elements[i];
-      info.eids.push_back(e->id());
-      auto [it, inserted] = membership.emplace(e, Membership{t, i});
-      if (!inserted) {
+      const xml::ElementId id = e->id();
+      if (id == xml::kInvalidElementId ||
+          static_cast<size_t>(id) >= membership.size() ||
+          doc.ElementById(id) != e) {
+        return Status::FailedPrecondition(
+            "element <" + e->name() + "> has no current element ID (eid " +
+            std::to_string(id) +
+            "); assign IDs after changing the document");
+      }
+      info.eids.push_back(id);
+      Membership& m = membership[static_cast<size_t>(id)];
+      if (m.type != SIZE_MAX) {
         return Status::InvalidArgument(
             "element <" + e->name() + "> (eid " + std::to_string(e->id()) +
             ") matches two candidates: '" +
-            config.candidates()[it->second.type].name + "' and '" +
-            cand.name + "'");
+            config.candidates()[m.type].name + "' and '" + cand.name + "'");
       }
+      m = Membership{t, i};
     }
   }
 
@@ -59,15 +81,15 @@ util::Result<CandidateForest> CandidateForest::Build(
   for (size_t t = 0; t < n; ++t) {
     CandidateInstances& child_info = forest.candidates_[t];
     for (size_t j = 0; j < child_info.elements.size(); ++j) {
-      const xml::Element* ancestor = child_info.elements[j]->parent();
-      while (ancestor != nullptr) {
-        auto it = membership.find(ancestor);
-        if (it != membership.end()) break;
-        ancestor = ancestor->parent();
+      const Membership* found = nullptr;
+      for (const xml::Element* ancestor = child_info.elements[j]->parent();
+           ancestor != nullptr && found == nullptr;
+           ancestor = ancestor->parent()) {
+        found = member_of(ancestor);
       }
-      if (ancestor == nullptr) continue;  // root-level candidate instance
+      if (found == nullptr) continue;  // root-level candidate instance
 
-      Membership parent = membership.at(ancestor);
+      const Membership parent = *found;
       size_t s = parent.type;
       CandidateInstances& parent_info = forest.candidates_[s];
 

@@ -557,7 +557,7 @@ Status DetectionRun::Resume(const xml::Document& doc) {
 }
 
 // Key generation (KG): one read of the document builds the candidate
-// forest and the GK tables, concurrently per candidate; a resumed run
+// forest and the GK tables, in row chunks on every thread; a resumed run
 // reads the tables back from the snapshot instead.
 Status DetectionRun::GenerateKeys(const xml::Document& doc) {
   util::Stopwatch kg_watch;
@@ -600,23 +600,14 @@ Status DetectionRun::GenerateKeys(const xml::Document& doc) {
       kg_done_[state.index] = state.kg_done ? 1 : 0;
     }
   } else {
-    std::vector<Status> kg_status(candidates.size());
-    util::ParallelForCancellable(
-        candidates.size(), num_threads_, gov_.token, [&](size_t t) {
-          obs::Tracer::Span gen_span = tracer_.StartSpan("kg/generate");
-          auto keys = GenerateKeysChecked(*candidates[t].config, candidates[t],
-                                          gov_.token, &metrics_);
-          gen_span.End();
-          if (!keys.ok()) {
-            kg_status[t] = keys.status();
-          } else if (!keys->cancelled) {  // else: candidate shed
-            gk_[t] = std::move(keys->table);
-            kg_done_[t] = 1;
-          }
-        });
-    // A genuine failure aborts the run (degradation is for shed work);
-    // the lowest candidate index wins, deterministically.
-    for (const Status& status : kg_status) SXNM_RETURN_IF_ERROR(status);
+    auto keys = GenerateKeysChecked(candidates, num_threads_, gov_.token,
+                                    &metrics_, &tracer_);
+    if (!keys.ok()) return keys.status();
+    for (size_t t = 0; t < candidates.size(); ++t) {
+      if ((*keys)[t].cancelled) continue;  // candidate shed
+      gk_[t] = std::move((*keys)[t].table);
+      kg_done_[t] = 1;
+    }
   }
   gov_.Observe();
   kg_span.End();

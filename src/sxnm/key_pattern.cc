@@ -104,50 +104,39 @@ util::Result<KeyPattern> KeyPattern::Parse(std::string_view pattern) {
 }
 
 std::string KeyPattern::Apply(std::string_view value) const {
-  // Extract each character class lazily, at most once.
-  std::string consonants, characters, digits, soundex;
-  bool have_k = false, have_c = false, have_d = false, have_s = false;
-
   std::string out;
+  AppendTo(value, &out);
+  return out;
+}
+
+void KeyPattern::AppendTo(std::string_view value, std::string* out) const {
   for (const KeyPatternPart& part : parts_) {
-    const std::string* pool = nullptr;
+    bool (*in_class)(char) = nullptr;
     switch (part.char_class) {
       case CharClass::kConsonant:
-        if (!have_k) {
-          consonants = util::ExtractConsonants(value);
-          have_k = true;
-        }
-        pool = &consonants;
+        in_class = util::IsConsonant;
         break;
       case CharClass::kCharacter:
-        if (!have_c) {
-          characters = util::ExtractAlnum(value);
-          have_c = true;
-        }
-        pool = &characters;
+        in_class = [](char c) {
+          return util::IsAsciiAlpha(c) || util::IsAsciiDigit(c);
+        };
         break;
       case CharClass::kDigit:
-        if (!have_d) {
-          digits = util::ExtractDigits(value);
-          have_d = true;
-        }
-        pool = &digits;
+        in_class = util::IsAsciiDigit;
         break;
       case CharClass::kSoundex:
-        if (!have_s) {
-          soundex = text::Soundex(value);
-          have_s = true;
-        }
-        out += soundex;
+        out->append(text::Soundex(value));
         continue;
     }
-    for (int p = part.from; p <= part.to; ++p) {
-      if (static_cast<size_t>(p) <= pool->size()) {
-        out.push_back((*pool)[static_cast<size_t>(p) - 1]);
-      }
+    // Positions from..to (1-based) among the value's characters of the
+    // class; positions past the last one select nothing.
+    int position = 0;
+    for (char c : value) {
+      if (!in_class(c)) continue;
+      if (++position > part.to) break;
+      if (position >= part.from) out->push_back(util::AsciiToUpper(c));
     }
   }
-  return out;
 }
 
 std::string KeyPattern::ToString() const {

@@ -56,6 +56,9 @@ class KeyPattern {
   /// simply produce shorter fragments.
   std::string Apply(std::string_view value) const;
 
+  /// Appends Apply(value) to `*out` without temporaries (Soundex aside).
+  void AppendTo(std::string_view value, std::string* out) const;
+
   /// Canonical string form ("K1-K5,D3,D4").
   std::string ToString() const;
 

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace sxnm::core {
@@ -59,19 +58,25 @@ class OdPool {
   static OdPool FromParts(std::string arena, std::vector<uint32_t> offsets);
 
  private:
-  // Heterogeneous lookup: Intern probes with the string_view directly and
-  // only materializes a std::string for genuinely new values.
-  struct StringHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
+  // Open-addressing index over the IDs: a slot holds id + 1 (0 = empty)
+  // and a 32-bit hash of the value, which both places the slot and
+  // filters probes. Values are compared through the arena, so each
+  // distinct value is stored once. At most half the slots are used.
+  struct Slot {
+    uint32_t id_plus_one = 0;
+    uint32_t hash = 0;
   };
+
+  static uint32_t Hash(std::string_view value);
+  std::string_view ValueAt(uint32_t id) const;
+  // The slot holding `value`, or the empty slot where it belongs.
+  size_t FindSlot(std::string_view value, uint32_t hash) const;
+  // Makes room for one more value.
+  void Reserve();
 
   std::string arena_;
   std::vector<uint32_t> offsets_;  // offsets_[id]: start of the value
-  std::unordered_map<std::string, uint32_t, StringHash, std::equal_to<>>
-      index_;
+  std::vector<Slot> index_;        // size 0 or a power of two
 };
 
 }  // namespace sxnm::core

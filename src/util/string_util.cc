@@ -74,20 +74,27 @@ std::string_view TrimView(std::string_view s) {
 std::string Trim(std::string_view s) { return std::string(TrimView(s)); }
 
 std::string NormalizeWhitespace(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+  std::string out(s);
+  NormalizeWhitespaceInPlace(&out);
+  return out;
+}
+
+void NormalizeWhitespaceInPlace(std::string* s) {
+  // The write position never passes the read position, so the collapsed
+  // value overwrites its own source.
+  size_t write = 0;
   bool in_space = true;  // suppress leading spaces
-  for (char c : s) {
+  for (char c : *s) {
     if (IsAsciiSpace(c)) {
-      if (!in_space) out.push_back(' ');
+      if (!in_space) (*s)[write++] = ' ';
       in_space = true;
     } else {
-      out.push_back(c);
+      (*s)[write++] = c;
       in_space = false;
     }
   }
-  while (!out.empty() && out.back() == ' ') out.pop_back();
-  return out;
+  if (write > 0 && (*s)[write - 1] == ' ') --write;
+  s->resize(write);
 }
 
 std::vector<std::string> Split(std::string_view s, char sep) {

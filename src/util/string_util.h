@@ -42,6 +42,9 @@ std::string Trim(std::string_view s);
 /// "  The   Matrix " -> "The Matrix".
 std::string NormalizeWhitespace(std::string_view s);
 
+/// NormalizeWhitespace applied to `*s` in place, without allocating.
+void NormalizeWhitespaceInPlace(std::string* s);
+
 /// Splits `s` at every occurrence of `sep` (single character). An empty
 /// input yields a single empty token, matching common CSV semantics.
 std::vector<std::string> Split(std::string_view s, char sep);

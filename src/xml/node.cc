@@ -204,8 +204,12 @@ void EmitDeepText(const Element& root, Emit emit) {
 
 std::string Element::DeepText() const {
   std::string out;
-  EmitDeepText(*this, [&out](char c) { out.push_back(c); });
+  AppendDeepText(&out);
   return out;
+}
+
+void Element::AppendDeepText(std::string* out) const {
+  EmitDeepText(*this, [out](char c) { out->push_back(c); });
 }
 
 size_t Element::DeepTextLength() const {

@@ -172,6 +172,9 @@ class Element : public Node {
   /// Concatenation of all descendant text, whitespace-normalized.
   std::string DeepText() const;
 
+  /// Appends DeepText() to `*out` without building it separately.
+  void AppendDeepText(std::string* out) const;
+
   /// DeepText().size(), computed without building the string.
   size_t DeepTextLength() const;
 

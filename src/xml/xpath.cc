@@ -23,6 +23,52 @@ void CollectDescendants(const Element& root, const std::string& name,
   }
 }
 
+// Calls `visit` on the descendants of `root` (excluding `root`) in
+// document order, the order CollectDescendants lists them, until `visit`
+// returns true. Returns whether it did.
+template <typename Visit>
+bool VisitDescendants(const Element& root, const Visit& visit) {
+  for (const auto& child : root.children()) {
+    if (const Element* e = child->AsElement()) {
+      if (visit(*e) || VisitDescendants(*e, visit)) return true;
+    }
+  }
+  return false;
+}
+
+// The lazy form of WalkElements from a relative context: offers the
+// elements that the element steps steps[s, end) select from `context` to
+// `accept`, in the order WalkElements lists them, until `accept` returns
+// true. Returns whether it did.
+template <typename Accept>
+bool FirstAccepted(const std::vector<XPathStep>& steps, size_t s, size_t end,
+                   const Element& context, const Accept& accept) {
+  if (s == end) return accept(context);
+  const XPathStep& step = steps[s];
+  size_t seen = 0;  // elements matching this step so far
+  bool accepted = false;
+  // Returns true when this step's enumeration is over: a later step
+  // accepted, or the positional predicate's one match has been tried.
+  auto offer = [&](const Element& e) {
+    if (step.name != "*" && e.name() != step.name) return false;
+    ++seen;
+    if (step.position > 0 && seen < static_cast<size_t>(step.position)) {
+      return false;
+    }
+    accepted = FirstAccepted(steps, s + 1, end, e, accept);
+    return accepted || step.position > 0;
+  };
+  if (step.axis == XPathStep::Axis::kDescendant) {
+    VisitDescendants(context, offer);
+  } else {
+    for (const auto& child : context.children()) {
+      const Element* e = child->AsElement();
+      if (e != nullptr && offer(*e)) break;
+    }
+  }
+  return accepted;
+}
+
 }  // namespace
 
 util::Result<XPath> XPath::Parse(std::string_view path) {
@@ -277,8 +323,45 @@ std::vector<std::string> XPath::SelectValues(const Element& context) const {
 }
 
 std::string XPath::SelectFirstValue(const Element& context) const {
-  std::vector<std::string> values = SelectValues(context);
-  return values.empty() ? std::string() : std::move(values.front());
+  std::string value;
+  FirstValueInto(context, &value);
+  return value;
+}
+
+bool XPath::FirstValueInto(const Element& context, std::string* out) const {
+  out->clear();
+  if (!SelectsValue()) {
+    return FirstAccepted(steps_, 0, steps_.size(), context,
+                         [out](const Element& e) {
+                           e.AppendDeepText(out);
+                           return true;
+                         });
+  }
+  const XPathStep& last = steps_.back();
+  const size_t element_steps = steps_.size() - 1;
+  if (last.axis == XPathStep::Axis::kAttribute) {
+    return FirstAccepted(steps_, 0, element_steps, context,
+                         [&](const Element& e) {
+                           const std::string* value =
+                               e.FindAttribute(last.name);
+                           if (value == nullptr) return false;
+                           out->assign(*value);
+                           util::NormalizeWhitespaceInPlace(out);
+                           return true;
+                         });
+  }
+  // text(): Element::DirectText without its temporary.
+  return FirstAccepted(steps_, 0, element_steps, context,
+                       [out](const Element& e) {
+                         for (const auto& child : e.children()) {
+                           if (child->IsText()) {
+                             out->append(
+                                 static_cast<const TextNode&>(*child).text());
+                           }
+                         }
+                         util::NormalizeWhitespaceInPlace(out);
+                         return true;
+                       });
 }
 
 util::Result<std::vector<const Element*>> XPath::SelectFromRoot(

@@ -87,6 +87,13 @@ class XPath {
   /// First selected value, or empty string when nothing matches.
   std::string SelectFirstValue(const Element& context) const;
 
+  /// Writes SelectValues(context).front() into `*out` (replacing its
+  /// contents) and returns true; returns false with `*out` empty when
+  /// nothing matches. The walk is lazy: it stops at the first value and
+  /// builds neither the other matches nor their strings, so a caller
+  /// reusing `*out` across calls allocates only when a value outgrows it.
+  bool FirstValueInto(const Element& context, std::string* out) const;
+
   /// Evaluates an *absolute* path against a document root: the first step
   /// must match the root element itself (standard XPath semantics for
   /// `/a/b/c`). Returns matched elements.

@@ -185,6 +185,38 @@ TEST_F(CandidateForestTest, OverlappingCandidatesRejected) {
             std::string::npos);
 }
 
+TEST_F(CandidateForestTest, ElementWithoutCurrentIdRejected) {
+  Config config;
+  ASSERT_TRUE(
+      config.AddCandidate(MakeCandidate("movie", "db/movies/movie")).ok());
+  xml::Element* movies = doc_.root()->FirstChildElement("movies");
+  ASSERT_NE(movies, nullptr);
+
+  // Added after the IDs were assigned: kInvalidElementId.
+  movies->AddElement("movie");
+  auto forest = CandidateForest::Build(config, doc_);
+  ASSERT_FALSE(forest.ok());
+  EXPECT_EQ(forest.status().code(), util::StatusCode::kFailedPrecondition);
+
+  // Moved in from a larger document: an ID past this one's element count.
+  movies->RemoveChild(movies->NumChildren() - 1);
+  auto other = xml::Parse(
+      "<db><movies><movie/><movie/><movie/><movie/><movie/><movie/><movie/>"
+      "<movie/><movie/><movie/><movie/><movie/><movie/><movie/><movie/>"
+      "<movie/><movie/><movie/><movie/><movie/><movie/></movies></db>");
+  ASSERT_TRUE(other.ok());
+  xml::Element* other_movies = other->root()->FirstChildElement("movies");
+  movies->AddChild(other_movies->TakeChild(other_movies->NumChildren() - 1));
+  ASSERT_GE(static_cast<size_t>(movies->ChildElements().back()->id()),
+            doc_.element_count());
+  forest = CandidateForest::Build(config, doc_);
+  ASSERT_FALSE(forest.ok());
+  EXPECT_EQ(forest.status().code(), util::StatusCode::kFailedPrecondition);
+
+  doc_.AssignElementIds();
+  EXPECT_TRUE(CandidateForest::Build(config, doc_).ok());
+}
+
 TEST(CandidateForestRecursionTest, RecursiveNestingRejected) {
   auto doc = xml::Parse("<r><part><part><part/></part></part></r>");
   ASSERT_TRUE(doc.ok());

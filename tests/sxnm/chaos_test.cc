@@ -159,18 +159,38 @@ TEST_F(ChaosTest, ExtSortSpillFaultFailsCleanlyAndDetectorStaysReusable) {
 }
 
 TEST_F(ChaosTest, FaultInParallelKeyGenerationPropagatesDeterministically) {
-  // With several worker threads, the error of the lowest-index failing
-  // row is the one reported, regardless of scheduling.
+  // Key generation runs in 1 024-row chunks on every thread, but the
+  // "kg.row" site is checked in the serial merge, in row order: with
+  // several worker threads, the Nth hit always names row N-1.
   auto doc = xml::Parse(kMovies);
   ASSERT_TRUE(doc.ok());
   Config config = LoadConfig();
   config.set_num_threads(4);
   Detector detector(config);
-  ScopedFault fault("kg.row", 1);
-  auto result = detector.Run(doc.value());
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
-  EXPECT_NE(result.status().message().find("row 0"), std::string::npos);
+  {
+    ScopedFault fault("kg.row", 1);
+    auto result = detector.Run(doc.value());
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+    EXPECT_NE(result.status().message().find("row 0"), std::string::npos);
+  }
+
+  std::string movies = "<db><movies>";
+  for (int i = 0; i < 4000; ++i) {  // over three chunks
+    movies += "<movie year=\"" + std::to_string(1950 + i % 60) +
+              "\"><title>Title " + std::to_string(i) + "</title></movie>";
+  }
+  movies += "</movies></db>";
+  auto large = xml::Parse(movies);
+  ASSERT_TRUE(large.ok());
+  for (int repetition = 0; repetition < 5; ++repetition) {
+    ScopedFault fault("kg.row", 2000);
+    auto result = detector.Run(large.value());
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+    EXPECT_NE(result.status().message().find("row 1999 "), std::string::npos)
+        << result.status().message();
+  }
 }
 
 }  // namespace

@@ -1,7 +1,13 @@
 #include "xml/xpath.h"
 
+#include <iterator>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "util/rng.h"
 #include "xml/parser.h"
 
 namespace sxnm::xml {
@@ -214,6 +220,86 @@ TEST_F(XPathFixture, MutableOverloadsReturnSameNodes) {
 TEST_F(XPathFixture, EqualityOperator) {
   EXPECT_EQ(XPath::Parse("a/b").value(), XPath::Parse("/a/b").value());
   EXPECT_FALSE(XPath::Parse("a/b").value() == XPath::Parse("a/c").value());
+}
+
+// A random subtree of <a>/<b>/<c> elements. Attributes and text carry
+// whitespace runs, and an element may hold several text nodes (CDATA
+// included), so both whitespace normalizations are exercised.
+void GrowRandomTree(util::Rng& rng, Element& parent, int depth) {
+  static constexpr const char* kNames[] = {"a", "b", "c"};
+  static constexpr const char* kTexts[] = {"x", " two  words ", "\tend\n",
+                                           "", "  "};
+  if (rng.NextBool(0.5)) {
+    parent.SetAttribute("x", kTexts[rng.NextBelow(std::size(kTexts))]);
+  }
+  if (rng.NextBool(0.3)) parent.SetAttribute("y", "v");
+  const int children = depth >= 4 ? 0 : rng.NextInt(0, 3);
+  for (int i = 0; i < children; ++i) {
+    if (rng.NextBool(0.3)) {
+      parent.AddChild(std::make_unique<TextNode>(
+          kTexts[rng.NextBelow(std::size(kTexts))], rng.NextBool(0.2)));
+    }
+    Element* child = parent.AddElement(kNames[rng.NextBelow(3)]);
+    GrowRandomTree(rng, *child, depth + 1);
+  }
+  if (rng.NextBool(0.5)) {
+    parent.AddText(kTexts[rng.NextBelow(std::size(kTexts))]);
+  }
+}
+
+// A random path of every shape the grammar allows: child and '//' steps,
+// '*', positional predicates, and a final @attr, text() or element step.
+std::string RandomPath(util::Rng& rng) {
+  static constexpr const char* kSteps[] = {"a", "b", "c", "*"};
+  std::string path;
+  const int steps = rng.NextInt(0, 3);
+  for (int i = 0; i < steps; ++i) {
+    if (i > 0) path += '/';
+    if (rng.NextBool(0.3)) path += i == 0 ? "//" : "/";
+    path += kSteps[rng.NextBelow(4)];
+    if (rng.NextBool(0.3)) {
+      path += "[" + std::to_string(rng.NextInt(1, 3)) + "]";
+    }
+  }
+  const char* last = nullptr;
+  switch (rng.NextBelow(4)) {
+    case 0: last = "@x"; break;
+    case 1: last = "@y"; break;
+    case 2: last = "text()"; break;
+    default: break;  // element-final: deep text
+  }
+  if (last != nullptr) path += path.empty() ? last : std::string("/") + last;
+  if (path.empty()) path = kSteps[rng.NextBelow(4)];
+  return path;
+}
+
+TEST(XPathFirstValueProperty, MatchesFrontOfSelectValues) {
+  util::Rng rng(36);
+  std::string value = "stale";  // FirstValueInto must replace it
+  for (int doc_round = 0; doc_round < 60; ++doc_round) {
+    auto root = std::make_unique<Element>("a");
+    GrowRandomTree(rng, *root, 0);
+    Document doc;
+    doc.SetRoot(std::move(root));
+    std::vector<const Element*> contexts = {doc.root()};
+    for (size_t i = 0; i < contexts.size(); ++i) {
+      for (const Element* child : contexts[i]->ChildElements()) {
+        contexts.push_back(child);
+      }
+    }
+    for (int path_round = 0; path_round < 40; ++path_round) {
+      const std::string text = RandomPath(rng);
+      auto path = XPath::Parse(text);
+      ASSERT_TRUE(path.ok()) << text << ": " << path.status().ToString();
+      for (const Element* context : contexts) {
+        std::vector<std::string> all = path->SelectValues(*context);
+        const bool found = path->FirstValueInto(*context, &value);
+        ASSERT_EQ(found, !all.empty()) << text;
+        ASSERT_EQ(value, all.empty() ? "" : all.front()) << text;
+        ASSERT_EQ(path->SelectFirstValue(*context), value) << text;
+      }
+    }
+  }
 }
 
 }  // namespace
