@@ -179,32 +179,6 @@ double ParseDoubleOr(std::string_view s, double fallback) {
   return value;
 }
 
-namespace {
-
-template <typename Pred>
-std::string ExtractMatching(std::string_view s, Pred pred) {
-  std::string out;
-  for (char c : s) {
-    if (pred(c)) out.push_back(AsciiToUpper(c));
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string ExtractConsonants(std::string_view s) {
-  return ExtractMatching(s, IsConsonant);
-}
-
-std::string ExtractDigits(std::string_view s) {
-  return ExtractMatching(s, IsAsciiDigit);
-}
-
-std::string ExtractAlnum(std::string_view s) {
-  return ExtractMatching(s,
-                         [](char c) { return IsAsciiAlpha(c) || IsAsciiDigit(c); });
-}
-
 std::string FormatDouble(double value, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, value);

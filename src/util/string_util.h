@@ -71,14 +71,6 @@ int ParseNonNegativeInt(std::string_view s);
 /// Parses a double; returns `fallback` on malformed input.
 double ParseDoubleOr(std::string_view s, double fallback);
 
-/// Extracts only the characters matching a class from `s`, uppercased:
-///   ExtractConsonants("Mask of Zorro") == "MSKFZRR"
-///   ExtractDigits("19.10.1998")        == "19101998"
-///   ExtractAlnum("Mask of Zorro!")     == "MASKOFZORRO"
-std::string ExtractConsonants(std::string_view s);
-std::string ExtractDigits(std::string_view s);
-std::string ExtractAlnum(std::string_view s);
-
 /// Formats a double with `digits` digits after the decimal point.
 std::string FormatDouble(double value, int digits);
 

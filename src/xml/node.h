@@ -19,6 +19,10 @@ namespace sxnm::xml {
 
 class Element;
 
+namespace internal {
+class DomBuilder;  // xml/parser.cc: builds and numbers parsed documents
+}  // namespace internal
+
 /// Stable identifier of an element within its document: the element's
 /// 0-based position in pre-order (document order). -1 until assigned.
 using ElementId = int64_t;
@@ -187,6 +191,7 @@ class Element : public Node {
 
  private:
   friend class Document;
+  friend class internal::DomBuilder;
 
   /// The one copy routine behind Clone() and Document::CloneWithout(): an
   /// explicit-stack pre-order walk (depth never reaches the machine
@@ -255,6 +260,8 @@ class Document {
   }
 
  private:
+  friend class internal::DomBuilder;
+
   std::unique_ptr<Element> root_;
   std::vector<Element*> elements_by_id_;
   std::string version_;

@@ -6,6 +6,7 @@
 //   * attributes in single or double quotes
 //   * character data, CDATA sections, comments
 //   * the five predefined entities plus decimal/hex character references
+//     to code points in XML 1.0's Char production
 //   * an optional XML declaration; processing instructions are skipped
 //   * DOCTYPE declarations are skipped verbatim (no DTD processing)
 //

@@ -9,29 +9,33 @@ namespace sxnm::xml {
 
 namespace {
 
-void AppendEscaped(std::string_view s, bool attribute, std::string& out) {
-  for (char c : s) {
-    switch (c) {
-      case '&':
-        out += "&amp;";
-        break;
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        out += "&gt;";
-        break;
-      case '"':
-        if (attribute) {
-          out += "&quot;";
-        } else {
-          out.push_back(c);
-        }
-        break;
-      default:
-        out.push_back(c);
-    }
+// The escape written for `c`, or an empty view when `c` is written as is.
+std::string_view EscapeFor(char c, bool attribute) {
+  switch (c) {
+    case '&':
+      return "&amp;";
+    case '<':
+      return "&lt;";
+    case '>':
+      return "&gt;";
+    case '"':
+      return attribute ? "&quot;" : "";
+    default:
+      return "";
   }
+}
+
+// Appends `s` escaped, each escape-free run in one piece.
+void AppendEscaped(std::string_view s, bool attribute, std::string& out) {
+  size_t run = 0;  // start of the run not yet appended
+  for (size_t i = 0; i < s.size(); ++i) {
+    std::string_view escape = EscapeFor(s[i], attribute);
+    if (escape.empty()) continue;
+    out.append(s, run, i - run);
+    out += escape;
+    run = i + 1;
+  }
+  out.append(s, run);
 }
 
 // True when the element has any text child. Such elements (pure-text like

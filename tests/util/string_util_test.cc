@@ -103,20 +103,6 @@ TEST(ParseDoubleTest, FallbackOnGarbage) {
   EXPECT_DOUBLE_EQ(ParseDoubleOr("1.5x", 0), 0);
 }
 
-TEST(ExtractTest, PaperRunningExample) {
-  // "Mask of Zorro" -> consonants MSKFZRR (underlined in the paper).
-  EXPECT_EQ(ExtractConsonants("Mask of Zorro"), "MSKFZRR");
-  EXPECT_EQ(ExtractDigits("19.10.1998"), "19101998");
-  EXPECT_EQ(ExtractAlnum("Mask of Zorro!"), "MASKOFZORRO");
-}
-
-TEST(ExtractTest, EmptyAndNoMatches) {
-  EXPECT_EQ(ExtractConsonants(""), "");
-  EXPECT_EQ(ExtractConsonants("aeiou"), "");
-  EXPECT_EQ(ExtractDigits("no digits"), "");
-  EXPECT_EQ(ExtractAlnum("!@#$"), "");
-}
-
 TEST(FormatDoubleTest, Digits) {
   EXPECT_EQ(FormatDouble(0.123456, 4), "0.1235");
   EXPECT_EQ(FormatDouble(1.0, 2), "1.00");

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "xml/writer.h"
 
 namespace sxnm::xml {
@@ -49,6 +52,60 @@ TEST(ParserTest, NumericCharacterReferences) {
   auto doc = Parse("<t>&#65;&#x42;&#x2713;</t>");
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(doc->root()->DirectText(), "AB✓");
+}
+
+// Both sides of each boundary of XML 1.0's Char production: #x9 | #xA |
+// #xD | [#x20-#xD7FF] | [#xE000-#xFFFD] | [#x10000-#x10FFFF].
+TEST(ParserTest, CharacterReferencesInsideCharProductionDecode) {
+  const std::pair<const char*, const char*> legal[] = {
+      {"&#9;", "\t"},
+      {"&#10;", "\n"},
+      {"&#13;", "\r"},
+      {"&#x20;", " "},
+      {"&#xD7FF;", "\xED\x9F\xBF"},
+      {"&#xE000;", "\xEE\x80\x80"},
+      {"&#xFFFD;", "\xEF\xBF\xBD"},
+      {"&#x10000;", "\xF0\x90\x80\x80"},
+      {"&#x10FFFF;", "\xF4\x8F\xBF\xBF"}};
+  for (const auto& [ref, bytes] : legal) {
+    auto text = Parse(std::string("<t>[") + ref + "]</t>");
+    ASSERT_TRUE(text.ok()) << ref << ": " << text.status().ToString();
+    const auto& child = *text->root()->children().front();
+    EXPECT_EQ(static_cast<const TextNode&>(child).text(),
+              std::string("[") + bytes + "]")
+        << ref;
+    auto attr = Parse(std::string("<t a=\"") + ref + "\"/>");
+    ASSERT_TRUE(attr.ok()) << ref << ": " << attr.status().ToString();
+    EXPECT_EQ(attr->root()->AttributeOr("a", ""), bytes) << ref;
+  }
+}
+
+TEST(ParserTest, CharacterReferencesOutsideCharProductionRejected) {
+  const char* const illegal[] = {"&#0;",      "&#1;",      "&#8;",
+                                 "&#11;",     "&#12;",     "&#14;",
+                                 "&#x1F;",    "&#xD800;",  "&#xDFFF;",
+                                 "&#xFFFE;",  "&#xFFFF;",  "&#x110000;"};
+  for (const char* ref : illegal) {
+    for (const std::string& input :
+         {std::string("<t>[") + ref + "]</t>",
+          std::string("<t a=\"") + ref + "\"/>"}) {
+      auto strict = Parse(input);
+      ASSERT_FALSE(strict.ok()) << input;
+      EXPECT_EQ(strict.status().code(), util::StatusCode::kParseError);
+      EXPECT_NE(strict.status().message().find(
+                    "character reference out of range"),
+                std::string::npos)
+          << input << ": " << strict.status().ToString();
+    }
+    // Recovering keeps the ampersand as text and reports the reference.
+    auto recovered = ParseRecovering(std::string("<t>[") + ref + "]</t>");
+    ASSERT_TRUE(recovered.ok()) << ref;
+    ASSERT_EQ(recovered->diagnostics.size(), 1u) << ref;
+    EXPECT_NE(recovered->diagnostics[0].message.find(
+                  "character reference out of range"),
+              std::string::npos);
+    EXPECT_EQ(recovered->doc.root()->DirectText(), "[&]") << ref;
+  }
 }
 
 TEST(ParserTest, EntitiesInAttributes) {
